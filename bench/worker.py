@@ -1,11 +1,12 @@
 """Run one benchmark workload in a fresh process and report it as JSON.
 
 Started by run.py with the source tree on PYTHONPATH.  The closed loop
-starts operations until --seconds have passed; operation 0 always uses
-the golden program seed, so its digests (and, traced, its work counts)
-are compared with golden.json in every run.  Every operation runs under
-a timer, so a hang counts as a failure.  The last stdout line is one JSON
-object for run.py.
+starts operations while the next one is expected to end within --seconds.
+Operation 0 always uses the golden program seed, so its digests (and,
+traced, its work counts) are compared with golden.json in every run; it
+is also the warm-up, so the timings cover operations 1 onwards.  Every
+operation runs under a timer, so a hang counts as a failure.  The last
+stdout line is one JSON object for run.py.
 """
 
 from __future__ import annotations
@@ -28,8 +29,10 @@ ROOT = os.path.dirname(BENCH)
 GOLDEN_PATH = os.path.join(BENCH, "golden.json")
 SCRATCH = os.path.join(ROOT, ".bench_out")
 
-# time allowed past --seconds for the operation in flight and the checks
-GRACE_S = 100.0
+# time allowed past --seconds for an operation that overruns its estimate
+GRACE_S = 60.0
+# operation 0, the warm-up, and at least one timed operation
+MIN_OPS = 2
 
 
 class OpTimeout(Exception):
@@ -74,6 +77,10 @@ def golden_problems(golden, name, checked, counts):
 
 def median(values):
     return statistics.median(values) if values else 0.0
+
+
+def mean(values):
+    return statistics.fmean(values) if values else 0.0
 
 
 def ratio(num, den, scale=1.0):
@@ -193,11 +200,14 @@ def main(argv=None):
 
     signal.signal(signal.SIGALRM, _on_alarm)
     seeds = op_seeds(args.seed, GOLDEN_SEED)
-    walls, rates, ok_ops, problems = [], [], [], []
+    walls, cycles, laps, ok_ops, problems = [], [], [], [], []
     op0 = None
     start = perf_counter()
     deadline = start + args.seconds + GRACE_S
-    while not walls or perf_counter() - start < args.seconds:
+    # start another operation only while it should end within --seconds,
+    # so a run lasts --seconds whatever one operation costs
+    while len(walls) < MIN_OPS or perf_counter() - start + median(laps[1:]) <= args.seconds:
+        lap_start = perf_counter()
         index = len(walls)
         seed = next(seeds)
         if tracer is not None:
@@ -211,34 +221,39 @@ def main(argv=None):
                 counts = op0_counts(tracer) if tracer is not None else None
                 errors += golden_problems(golden, workload.name, checked, counts)
         walls.append(wall)
+        cycles.append(checked.cycles if checked is not None else 0)
+        laps.append(perf_counter() - lap_start)
         if errors:
             problems += [f"op {index} (seed {seed}): {e}" for e in errors]
         else:
             ok_ops.append(index)
-            rates.append(checked.cycles / wall)
         if perf_counter() >= deadline:
             break
 
     usage = resource.RUSAGE_SELF if workload.in_process else resource.RUSAGE_CHILDREN
-    good_walls = [walls[i] for i in ok_ops]
+    timed = [i for i in ok_ops if i > 0]
+    timed_walls = [walls[i] for i in timed]
     result = {
         "attempted": len(walls),
         "failed": len(walls) - len(ok_ops),
         "problems": problems[:20],
-        "samples": len(good_walls),
+        "samples": len(timed),
         "versions": versions(),
     }
     if tracer is None:
         quality = op0.quality if op0 is not None else {}
+        # means over the timed operations: on a shared host the speed
+        # drifts between slow and fast spells, which a mean averages
+        # while a median jumps with whichever spell covers more of the run
         result["metrics"] = {
-            "wall_s": median(good_walls or walls),
-            "cycles_per_s": median(rates),
+            "wall_s": mean(timed_walls or walls),
+            "cycles_per_s": ratio(sum(cycles[i] for i in timed), sum(timed_walls)),
             "peak_rss_mb": resource.getrusage(usage).ru_maxrss / 1024.0,
             "notch_depth_db": quality.get("notch_depth_db", 0.0),
             "residual_ratio_max": quality.get("residual_ratio_max", 0.0),
         }
     else:
-        result["metrics"] = layer_metrics(tracer, walls, ok_ops)
+        result["metrics"] = layer_metrics(tracer, walls, timed or ok_ops)
         tracer.write(os.path.join(SCRATCH, f"spans_{workload.name}.csv"))
     if args.record and op0 is not None:
         result["golden"] = {

@@ -1,4 +1,4 @@
-"""The three benchmark workloads: inputs from a seed, one operation, checks.
+"""The benchmark workloads: inputs from a seed, one operation, checks.
 
 Each workload is a closed loop with one client: the worker calls
 `prepare(seed)` (untimed), `run(op)` (timed) and `check(op, out)`
@@ -44,9 +44,6 @@ U_DC_V = 24.0
 FS_HZ = 2500.0
 FX_HZ = 7000.0
 BAND_HZ = (1500.0, 3500.0)
-RATE_HZ = 1e6
-SEGMENT_LEN = 65536
-HALF_BAND_HZ = 500.0
 
 
 @dataclass
@@ -233,63 +230,6 @@ def read_report(path) -> dict[str, str]:
 # ---------------------------------------------------------------------------
 
 
-class LongRun:
-    """A 20 s SNS_RP run and its 20 s RP baseline through the 1 MHz raster."""
-
-    name = "long_run"
-    in_process = True
-    timeout_s = 90.0
-    duration_s = 20.0
-    specs = (
-        StrategySpec(kind=StrategyKind.SNS_RP, fs=FS_HZ, fx=FX_HZ),
-        StrategySpec(kind=StrategyKind.RP, fs=FS_HZ),
-    )
-
-    def __init__(self, scratch, tracer):
-        self.mod = ModulatorConfig(m_index=0.7, f1=F1_HZ, u_dc=U_DC_V)
-
-    def prepare(self, seed):
-        return seed
-
-    def run(self, seed):
-        runs = []
-        for spec in self.specs:
-            result = scheduler.schedule(spec, self.mod, self.duration_s, seed)
-            x_a, x_b = (
-                synthesis.sample(synthesis.pulse_train(result.records, p), RATE_HZ) for p in ("a", "b")
-            )
-            u_ab = synthesis.line_voltage(x_a.values, x_b.values, U_DC_V)
-            del x_a, x_b
-            psd = spectrum.welch_psd(synthesis.SampledWaveform(values=u_ab, rate=RATE_HZ), SEGMENT_LEN)
-            del u_ab
-            runs.append((result, psd))
-        (test, test_psd), (_base, base_psd) = runs
-        report = spectrum.notch_report(test_psd, base_psd, FX_HZ, HALF_BAND_HZ, stats=test.stats)
-        return runs, report
-
-    def check(self, seed, out) -> Checked:
-        runs, report = out
-        checked = Checked()
-        edges, psds = hashlib.sha256(), hashlib.sha256()
-        worst = 0.0
-        for spec, (result, psd) in zip(self.specs, runs):
-            residuals = [spectrum.cancellation_residual(result.records, p, FX_HZ) for p in PHASES]
-            ratio = check_schedule(checked, spec.kind.value, spec, result, self.duration_s, residuals, edges)
-            worst = max(worst, ratio)
-            psds.update(psd.values.tobytes())
-        spec, (test, _psd) = self.specs[0], runs[0]
-        checked.problems += rerun_problems(spec, self.mod, self.duration_s, seed, test.records, spec.kind.value)
-        checked.quality = {"notch_depth_db": report.max_reduction_db, "residual_ratio_max": worst}
-        checked.digests = {"edges": edges.hexdigest(), "psd": psds.hexdigest()}
-        return checked
-
-    def cleanup(self, seed):
-        pass
-
-
-# ---------------------------------------------------------------------------
-
-
 def _sweep_specs() -> tuple[StrategySpec, ...]:
     lo, hi = BAND_HZ
     specs = [
@@ -382,4 +322,4 @@ class Sweep:
         pass
 
 
-WORKLOADS = {w.name: w for w in (CliSimulate, LongRun, Sweep)}
+WORKLOADS = {w.name: w for w in (CliSimulate, Sweep)}
