@@ -20,6 +20,7 @@ artifacts.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -184,6 +185,9 @@ def parse_config(path) -> ScenarioConfig:
 
 
 def _validate_scenario(cfg: ScenarioConfig) -> None:
+    for key, value in vars(cfg).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{key} must be finite, got {value}")
     if cfg.duration_s <= 0.0:
         raise ConfigError(f"duration_s must be positive, got {cfg.duration_s}")
     if cfg.seed < 0:
@@ -406,24 +410,13 @@ def _report_entries(
     entries.append(("baseline", baseline_name))
     entries.append(("fx_hz", cfg.fx_hz))
     entries.append(("half_band_hz", cfg.half_band_hz if cfg.fx_hz else None))
-    if report is not None:
-        entries.extend(
-            [
-                ("max_reduction_db", report.max_reduction_db),
-                ("mean_reduction_db", report.mean_reduction_db),
-                ("notch_width_hz", report.notch_width_hz),
-                ("notch_threshold_db", report.threshold_db),
-            ]
-        )
-    else:
-        entries.extend(
-            [
-                ("max_reduction_db", None),
-                ("mean_reduction_db", None),
-                ("notch_width_hz", None),
-                ("notch_threshold_db", None),
-            ]
-        )
+    for key, attr in (
+        ("max_reduction_db", "max_reduction_db"),
+        ("mean_reduction_db", "mean_reduction_db"),
+        ("notch_width_hz", "notch_width_hz"),
+        ("notch_threshold_db", "threshold_db"),
+    ):
+        entries.append((key, getattr(report, attr, None)))  # None without a report
     return entries
 
 
@@ -442,6 +435,36 @@ def _phase_a_current(
     )
 
 
+def _run_configured(
+    cfg: ScenarioConfig,
+) -> tuple[Path, ModulatorConfig, RunArtifacts, list[str]]:
+    """Run the configured strategy and print its warnings to stderr.
+
+    Returns the output directory, the modulator config, the run, and its
+    warnings for report.txt.
+    """
+    modcfg = modulator_config(cfg)
+    artifacts = run_strategy(strategy_spec(cfg), modcfg, cfg)
+    warnings = _run_warnings(cfg, artifacts)
+    for text in warnings:
+        print(f"warning: {text}", file=sys.stderr)
+    return Path(cfg.out_dir), modcfg, artifacts, warnings
+
+
+def _scored(
+    cfg: ScenarioConfig,
+    modcfg: ModulatorConfig,
+    artifacts: RunArtifacts,
+    base_spec: StrategySpec,
+) -> tuple[NotchReport, Spectrum]:
+    """Notch report of the run against a same-seed baseline, and its PSD."""
+    base = run_strategy(base_spec, modcfg, cfg)
+    report = notch_report(
+        artifacts.psd, base.psd, cfg.fx_hz, cfg.half_band_hz, stats=artifacts.result.stats
+    )
+    return report, base.psd
+
+
 def run_simulate(cfg: ScenarioConfig) -> Optional[NotchReport]:
     """Run the configured strategy and write the full artifact set.
 
@@ -449,25 +472,12 @@ def run_simulate(cfg: ScenarioConfig) -> Optional[NotchReport]:
     is run internally to score the notch in report.txt; psd.csv carries
     the strategy's own PSD only.
     """
-    out = Path(cfg.out_dir)
-    modcfg = modulator_config(cfg)
-    artifacts = run_strategy(strategy_spec(cfg), modcfg, cfg)
-    warnings = _run_warnings(cfg, artifacts)
-    for text in warnings:
-        print(f"warning: {text}", file=sys.stderr)
-
+    out, modcfg, artifacts, warnings = _run_configured(cfg)
     report = None
     baseline_name = None
     if cfg.fx_hz is not None:
         baseline_name = "rp"
-        base = run_strategy(baseline_spec(cfg, "rp"), modcfg, cfg)
-        report = notch_report(
-            artifacts.psd,
-            base.psd,
-            cfg.fx_hz,
-            cfg.half_band_hz,
-            stats=artifacts.result.stats,
-        )
+        report, _ = _scored(cfg, modcfg, artifacts, baseline_spec(cfg, "rp"))
 
     write_cycles_csv(out / "cycles.csv", artifacts.result.records)
     write_psd_csv(out / "psd.csv", artifacts.psd)
@@ -484,23 +494,11 @@ def run_compare(cfg: ScenarioConfig, baseline_kind: str = "rp") -> NotchReport:
     """Run strategy and baseline on a common grid; write the overlay PSD."""
     if cfg.fx_hz is None:
         raise ConfigError("compare requires fx_hz")
-    out = Path(cfg.out_dir)
-    modcfg = modulator_config(cfg)
-    artifacts = run_strategy(strategy_spec(cfg), modcfg, cfg)
-    base = run_strategy(baseline_spec(cfg, baseline_kind), modcfg, cfg)
-    warnings = _run_warnings(cfg, artifacts)
-    for text in warnings:
-        print(f"warning: {text}", file=sys.stderr)
-
-    report = notch_report(
-        artifacts.psd,
-        base.psd,
-        cfg.fx_hz,
-        cfg.half_band_hz,
-        stats=artifacts.result.stats,
-    )
+    base_spec = baseline_spec(cfg, baseline_kind)
+    out, modcfg, artifacts, warnings = _run_configured(cfg)
+    report, base_psd = _scored(cfg, modcfg, artifacts, base_spec)
     write_cycles_csv(out / "cycles.csv", artifacts.result.records)
-    write_psd_csv(out / "psd.csv", artifacts.psd, baseline=base.psd)
+    write_psd_csv(out / "psd.csv", artifacts.psd, baseline=base_psd)
     write_report(
         out / "report.txt",
         _report_entries(cfg, artifacts, warnings, report, baseline_kind),
@@ -515,13 +513,7 @@ def run_flatness(cfg: ScenarioConfig) -> list[tuple[float, float, float]]:
     being the fixed switching frequency or the band midpoint.  Returns
     and writes (center_hz, std_db, peak_to_mean_db) per window.
     """
-    out = Path(cfg.out_dir)
-    modcfg = modulator_config(cfg)
-    artifacts = run_strategy(strategy_spec(cfg), modcfg, cfg)
-    warnings = _run_warnings(cfg, artifacts)
-    for text in warnings:
-        print(f"warning: {text}", file=sys.stderr)
-
+    out, _, artifacts, warnings = _run_configured(cfg)
     if cfg.fs_hz is not None:
         f_center = cfg.fs_hz
     else:

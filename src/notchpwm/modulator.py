@@ -37,10 +37,10 @@ class ModulatorConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.m_index <= 1.0:
             raise ValueError(f"m_index must be in (0, 1], got {self.m_index}")
-        if self.f1 <= 0.0:
-            raise ValueError(f"f1 must be positive, got {self.f1}")
-        if self.u_dc <= 0.0:
-            raise ValueError(f"u_dc must be positive, got {self.u_dc}")
+        if not 0.0 < self.f1 < math.inf:
+            raise ValueError(f"f1 must be positive and finite, got {self.f1}")
+        if not 0.0 < self.u_dc < math.inf:
+            raise ValueError(f"u_dc must be positive and finite, got {self.u_dc}")
 
 
 class DutyTriple(NamedTuple):

@@ -15,10 +15,6 @@ Two pairings are available (`CancelMethod`):
 * RISE_AFTER_FALL - the new cycle's rising edge locks to the previous
   cycle's falling edge; the recursion needs the previous cycle's duty.
 
-(The degenerate SAME_CYCLE pairing locks a pulse's own edges; it pins the
-switching frequency to duty * fx / k and is kept only so the cancellation
-predicate can be exercised, never as a schedulable strategy.)
-
 Strategies:
 
 * CSVPWM - fixed frequency, center-aligned pulses.
@@ -88,7 +84,6 @@ class StrategyKind(Enum):
 class CancelMethod(Enum):
     """Which edge pair is phase-locked at the notch frequency."""
 
-    SAME_CYCLE = "same_cycle"
     FALL_AFTER_RISE = "fall_after_rise"
     RISE_AFTER_FALL = "rise_after_fall"
 
@@ -154,6 +149,10 @@ class StrategySpec:
 
     def validate(self) -> None:
         kind = self.kind
+        for name in ("fs", "fs_min", "fs_max", "fx"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if kind in (StrategyKind.CSVPWM, StrategyKind.RP, StrategyKind.SNS_RP):
             if self.fs is None or self.fs <= 0.0:
                 raise ConfigError(f"{kind.value} requires a positive fixed fs")
@@ -167,14 +166,6 @@ class StrategySpec:
         if kind in (StrategyKind.SNS_RP, StrategyKind.SNS_RF_RP, StrategyKind.FIXED_POS):
             if self.fx is None or self.fx <= 0.0:
                 raise ConfigError(f"{kind.value} requires a positive notch frequency fx")
-        if kind is StrategyKind.SNS_RP and self.sns_rp_variant is CancelMethod.SAME_CYCLE:
-            raise ConfigError(
-                "same-cycle locking pins fs to duty*fx/k and is not schedulable"
-            )
-        if kind is StrategyKind.FIXED_POS and self.cancel_method is CancelMethod.SAME_CYCLE:
-            raise ConfigError(
-                "same-cycle locking pins fs to duty*fx/k and is not schedulable"
-            )
 
 
 @dataclass(frozen=True)
@@ -259,13 +250,11 @@ def k_range_sns_rp(
     if variant is CancelMethod.FALL_AFTER_RISE:
         k_min = math.ceil(ratio * (1.0 - r_prev + d_next))
         k_max = math.floor(ratio * (2.0 - r_prev))
-    elif variant is CancelMethod.RISE_AFTER_FALL:
+    else:
         if d_prev is None:
             raise ValueError("RISE_AFTER_FALL pairing needs d_prev")
         k_min = math.ceil(ratio * (1.0 - r_prev - d_prev))
         k_max = math.floor(ratio * (2.0 - r_prev - d_prev - d_next))
-    else:
-        raise ValueError(f"no cross-cycle k range for {variant}")
     if k_min > k_max:
         return None
     return k_min, k_max
@@ -283,9 +272,7 @@ def sns_rp_position(
     """Next pulse position that realizes the lock for a given integer k."""
     if variant is CancelMethod.FALL_AFTER_RISE:
         return (k / fx) * fs + r_prev - d_next - 1.0
-    if variant is CancelMethod.RISE_AFTER_FALL:
-        return (k / fx) * fs + r_prev + d_prev - 1.0
-    raise ValueError(f"no cross-cycle position recursion for {variant}")
+    return (k / fx) * fs + r_prev + d_prev - 1.0
 
 
 def _checked_position(r: float, d_next: float, context: str) -> float:
@@ -299,6 +286,26 @@ def _checked_position(r: float, d_next: float, context: str) -> float:
             return hi
         raise OutOfBandError(f"{context}: position {r} above {hi}")
     return r
+
+
+def _checked_freq(
+    fs: float, fs_min: Optional[float], fs_max: Optional[float], context: str
+) -> float:
+    """fs snapped into [fs_min, fs_max] when outside by roundoff only.
+
+    A missing limit is not checked; violations beyond roundoff indicate a
+    k-range bug and raise OutOfBandError.  NaN fails both comparisons and
+    raises too.
+    """
+    if fs_min is not None and not fs >= fs_min:
+        if fs >= fs_min * (1.0 - _BOUND_TOL):
+            return fs_min
+        raise OutOfBandError(f"{context}: solved fs {fs} below band [{fs_min}, {fs_max}]")
+    if fs_max is not None and not fs <= fs_max:
+        if fs <= fs_max * (1.0 + _BOUND_TOL):
+            return fs_max
+        raise OutOfBandError(f"{context}: solved fs {fs} above band [{fs_min}, {fs_max}]")
+    return fs
 
 
 def next_position_sns_rp(
@@ -333,11 +340,9 @@ def feasibility_min_fx(
     the k range is empty for every reachable state, above it feasibility
     still depends on the actual positions and duties.
     """
-    if variant is CancelMethod.RISE_AFTER_FALL:
-        return fs / (2.0 - d_min)
     if variant is CancelMethod.FALL_AFTER_RISE:
         return fs / (2.0 + d_max)
-    raise ValueError(f"no feasibility limit for {variant}")
+    return fs / (2.0 - d_min)
 
 
 def k_range_sns_rf_rp_freq(
@@ -378,16 +383,7 @@ def next_freq_sns_rf_rp(
     OutOfBandError).
     """
     denom = k / fx + r_prev / fs_prev - 1.0 / fs_prev
-    fs_next = (r_next + d_next) / denom
-    if fs_min is not None and fs_next < fs_min:
-        if fs_next >= fs_min * (1.0 - _BOUND_TOL):
-            return fs_min
-        raise OutOfBandError(f"solved fs {fs_next} below band [{fs_min}, {fs_max}]")
-    if fs_max is not None and fs_next > fs_max:
-        if fs_next <= fs_max * (1.0 + _BOUND_TOL):
-            return fs_max
-        raise OutOfBandError(f"solved fs {fs_next} above band [{fs_min}, {fs_max}]")
-    return fs_next
+    return _checked_freq((r_next + d_next) / denom, fs_min, fs_max, "sns_rf_rp")
 
 
 def k_range_sns_rf_rp_pos(
@@ -443,9 +439,6 @@ def _fixed_pos_coeffs(
     d_prev: float,
     d_next: float,
 ) -> tuple[float, float, int]:
-    if method is CancelMethod.SAME_CYCLE:
-        # a pulse's own edges are duty * ts apart regardless of position
-        return d_next * fx, 0.0, 1
     if method is CancelMethod.FALL_AFTER_RISE:
         if position is PulsePosition.FRONT:
             return fx * d_next, fx / fs_prev, 1
@@ -508,37 +501,112 @@ def schedule(
     """Generate the switching cycles covering [0, duration).
 
     Cycle m+1 starts exactly where cycle m ends; the last cycle may run
-    past `duration`.  Draw order per cycle is fixed (banded frequency
-    draw first, then phases a, b, c), so a run is fully determined by
-    the arguments.  Per phase, a zero-duty cycle emits no pulse and the
-    lock chain restarts at the next pulse (counted in chain_restarts);
-    an empty k range falls back to a plain uniform position or frequency
-    draw for that cycle (counted in fallbacks).
+    past `duration`.  Each cycle takes its switching frequency from a
+    frequency policy (fixed fs, a band draw, or solved from the lock of
+    reference phase A) and then its pulse positions from a position
+    policy (center, uniform, fixed, or solved per locked phase).  Draw
+    order per cycle is fixed (banded frequency draw first, then phases
+    a, b, c), so a run is fully determined by the arguments.
+
+    Every solved value goes through one lock step.  Per phase, a zero-duty
+    cycle emits no pulse and the lock chain restarts at the next pulse
+    (counted in chain_restarts); an empty k range falls back to a plain
+    uniform position or frequency draw for that cycle (counted in
+    fallbacks).
     """
     strategy.validate()
+    if not math.isfinite(duration):
+        raise ConfigError(f"duration must be finite, got {duration}")
     stats = RunStats()
     kind = strategy.kind
+    fx, fs, fs_min, fs_max = strategy.fx, strategy.fs, strategy.fs_min, strategy.fs_max
+    fixed_fs = kind in (StrategyKind.CSVPWM, StrategyKind.RP, StrategyKind.SNS_RP)
+    # FIXED_POS and FREQ_FROM_POSITION solve the shared frequency from the
+    # lock of reference phase A; the SNS kinds solve the positions of their
+    # locked phases, except a phase A already locked by the frequency
+    freq_locked = kind is StrategyKind.FIXED_POS or (
+        kind is StrategyKind.SNS_RF_RP
+        and strategy.sns_rf_rp_variant is SnsRfRpVariant.FREQ_FROM_POSITION
+    )
+    locked = (0,) if strategy.reference_phase_only else (0, 1, 2)
 
     if kind is StrategyKind.SNS_RP:
-        limit = feasibility_min_fx(
-            strategy.sns_rp_variant, strategy.fs, 0.0, modcfg.m_index
-        )
-        if strategy.fx < limit:
+        limit = feasibility_min_fx(strategy.sns_rp_variant, fs, 0.0, modcfg.m_index)
+        if fx < limit:
             stats.feasibility_warnings.append(
-                f"fx={strategy.fx:g} Hz is below the feasibility limit "
-                f"{limit:g} Hz for fs={strategy.fs:g} Hz; every cycle will fall back"
+                f"fx={fx:g} Hz is below the feasibility limit "
+                f"{limit:g} Hz for fs={fs:g} Hz; every cycle will fall back"
             )
 
     rng = SeededRng(seed)
     records: list[CycleRecord] = []
 
-    chain_r = [0.0, 0.0, 0.0]
-    chain_d = [0.0, 0.0, 0.0]
-    chain_alive = [False, False, False]
-    gap_seen = [False, False, False]
+    # a phase's lock chain is its previous cycle, alive when that held a pulse
+    r_prev: Sequence[float] = (0.0, 0.0, 0.0)
+    d_prev: Sequence[float] = (0.0, 0.0, 0.0)
     fs_prev: Optional[float] = None
 
-    sns_phases = (0,) if strategy.reference_phase_only else (0, 1, 2)
+    # Lock laws: the admissible k range of phase i at duty d, and the
+    # position or frequency a drawn k solves.  They read the previous
+    # cycle and this cycle's fs_next and drawn position of phase A.
+    if kind is StrategyKind.SNS_RP:
+        method = strategy.sns_rp_variant
+
+        def pos_k_range(i, d):
+            return k_range_sns_rp(fx, fs, r_prev[i], d, method, d_prev[i])
+
+        def pos_solve(i, d, k):
+            r = sns_rp_position(fx, fs, r_prev[i], d_prev[i], d, method, k)
+            return _checked_position(r, d, "sns_rp")
+
+    elif kind is StrategyKind.SNS_RF_RP:
+
+        def pos_k_range(i, d):
+            return k_range_sns_rf_rp_pos(fx, fs_prev, fs_next, r_prev[i], d)
+
+        def pos_solve(i, d, k):
+            return next_position_sns_rf_rp(fx, fs_prev, fs_next, r_prev[i], d, k)
+
+        def freq_k_range(i, d):
+            return k_range_sns_rf_rp_freq(
+                fx, fs_prev, r_prev[i], pos[i], d, fs_min, fs_max
+            )
+
+        def freq_solve(i, d, k):
+            return next_freq_sns_rf_rp(
+                fx, fs_prev, r_prev[i], pos[i], d, k, fs_min, fs_max
+            )
+
+    elif kind is StrategyKind.FIXED_POS:
+        position, method = strategy.fixed_position, strategy.cancel_method
+
+        def freq_k_range(i, d):
+            return fixed_position_k_range(
+                position, method, fx, fs_prev, d_prev[i], d, fs_min, fs_max
+            )
+
+        def freq_solve(i, d, k):
+            f = fixed_position_next_freq(position, method, fx, fs_prev, d_prev[i], d, k)
+            return _checked_freq(f, fs_min, fs_max, "fixed_pos")
+
+    def lock(i, d, lo, hi, k_range, solve):
+        """Phase i's value solved by a lock law, or a plain draw on [lo, hi].
+
+        The plain draw stands in when the phase has no chain, in the run's
+        first cycle or after a zero-duty cycle (the chain restarts here),
+        and when the k range is empty (a fallback).
+        """
+        if d_prev[i] <= 0.0:
+            if m > 1:
+                stats.chain_restarts[i] += 1
+            return rng.uniform(lo, hi)
+        kr = k_range(i, d)
+        if kr is None:
+            stats.fallbacks[i] += 1
+            fb[i] = True
+            return rng.uniform(lo, hi)
+        k = kk[i] = rng.randint(*kr)
+        return solve(i, d, k)
 
     t = 0.0
     m = 0
@@ -547,153 +615,37 @@ def schedule(
         theta = angle_at(modcfg, t)
         sec = sector_of(theta)
         duty = duty_cycles(modcfg, theta)
-        pos = [0.0, 0.0, 0.0]
+        pos = [0.5, 0.5, 0.5]  # a zero-duty leg of a solved kind stays here
         kk: list[Optional[int]] = [None, None, None]
         fb = [False, False, False]
 
         # --- switching frequency of this cycle ---
-        if kind in (StrategyKind.CSVPWM, StrategyKind.RP, StrategyKind.SNS_RP):
-            fs_next = strategy.fs
-        elif kind is StrategyKind.RF or (
-            kind is StrategyKind.SNS_RF_RP
-            and strategy.sns_rf_rp_variant is SnsRfRpVariant.POSITION_FROM_FREQ
-        ):
-            fs_next = next_rf(strategy.fs_min, strategy.fs_max, rng)
-        elif kind is StrategyKind.SNS_RF_RP:
-            # FREQ_FROM_POSITION: phase A is the reference that sets the clock
-            d_a = duty[0]
-            if chain_alive[0] and d_a > 0.0 and 0 in sns_phases:
-                r_a = rng.uniform(0.0, 1.0 - d_a)
-                kr = k_range_sns_rf_rp_freq(
-                    strategy.fx, fs_prev, chain_r[0], r_a, d_a,
-                    strategy.fs_min, strategy.fs_max,
-                )
-                if kr is not None:
-                    k_a = rng.randint(*kr)
-                    fs_next = next_freq_sns_rf_rp(
-                        strategy.fx, fs_prev, chain_r[0], r_a, d_a, k_a,
-                        strategy.fs_min, strategy.fs_max,
-                    )
-                    kk[0] = k_a
-                else:
-                    fs_next = next_rf(strategy.fs_min, strategy.fs_max, rng)
-                    fb[0] = True
-                    stats.fallbacks[0] += 1
-                pos[0] = r_a
-            else:
-                if d_a > 0.0:
-                    pos[0] = rng.uniform(0.0, 1.0 - d_a)
-                    if gap_seen[0]:
-                        stats.chain_restarts[0] += 1
-                        gap_seen[0] = False
-                else:
-                    pos[0] = 0.5
-                fs_next = next_rf(strategy.fs_min, strategy.fs_max, rng)
-        else:  # FIXED_POS: reference phase A drives the frequency law
-            d_a = duty[0]
-            if chain_alive[0] and d_a > 0.0 and chain_d[0] > 0.0:
-                kr = fixed_position_k_range(
-                    strategy.fixed_position, strategy.cancel_method,
-                    strategy.fx, fs_prev, chain_d[0], d_a,
-                    strategy.fs_min, strategy.fs_max,
-                )
-                if kr is not None:
-                    k_a = rng.randint(*kr)
-                    fs_next = fixed_position_next_freq(
-                        strategy.fixed_position, strategy.cancel_method,
-                        strategy.fx, fs_prev, chain_d[0], d_a, k_a,
-                    )
-                    if not strategy.fs_min * (1.0 - _BOUND_TOL) <= fs_next <= strategy.fs_max * (1.0 + _BOUND_TOL):
-                        raise OutOfBandError(
-                            f"fixed-position law left the band: fs={fs_next}"
-                        )
-                    fs_next = min(max(fs_next, strategy.fs_min), strategy.fs_max)
-                    kk[0] = k_a
-                else:
-                    fs_next = next_rf(strategy.fs_min, strategy.fs_max, rng)
-                    fb[0] = True
-                    stats.fallbacks[0] += 1
-            else:
-                if d_a > 0.0 and gap_seen[0]:
-                    stats.chain_restarts[0] += 1
-                    gap_seen[0] = False
-                fs_next = next_rf(strategy.fs_min, strategy.fs_max, rng)
+        d_a = duty[0]
+        if fixed_fs:
+            fs_next = fs
+        elif freq_locked and d_a > 0.0:
+            if kind is StrategyKind.SNS_RF_RP:
+                pos[0] = rng.uniform(0.0, 1.0 - d_a)
+            fs_next = lock(0, d_a, fs_min, fs_max, freq_k_range, freq_solve)
+        else:
+            fs_next = next_rf(fs_min, fs_max, rng)
 
         # --- pulse positions of this cycle ---
         if kind is StrategyKind.CSVPWM or kind is StrategyKind.RF:
-            pos = list(next_csvpwm(duty))
+            pos = next_csvpwm(duty)
         elif kind is StrategyKind.RP:
-            pos = list(next_rp(duty, rng))
+            pos = next_rp(duty, rng)
         elif kind is StrategyKind.FIXED_POS:
-            for i in range(3):
-                pos[i] = _fixed_position_value(strategy.fixed_position, duty[i])
-        elif kind is StrategyKind.SNS_RP:
-            for i in range(3):
+            pos = [_fixed_position_value(position, d) for d in duty]
+        else:  # SNS kinds
+            for i in range(1 if freq_locked else 0, 3):
                 d = duty[i]
                 if d <= 0.0:
-                    pos[i] = 0.5
                     continue
-                if i not in sns_phases:
-                    pos[i] = rng.uniform(0.0, 1.0 - d)
-                    continue
-                if not chain_alive[i]:
-                    pos[i] = rng.uniform(0.0, 1.0 - d)
-                    if gap_seen[i]:
-                        stats.chain_restarts[i] += 1
-                        gap_seen[i] = False
-                    continue
-                kr = k_range_sns_rp(
-                    strategy.fx, strategy.fs, chain_r[i], d,
-                    variant=strategy.sns_rp_variant, d_prev=chain_d[i],
-                )
-                if kr is None:
-                    pos[i] = rng.uniform(0.0, 1.0 - d)
-                    fb[i] = True
-                    stats.fallbacks[i] += 1
+                if i in locked:
+                    pos[i] = lock(i, d, 0.0, 1.0 - d, pos_k_range, pos_solve)
                 else:
-                    k = rng.randint(*kr)
-                    pos[i] = _checked_position(
-                        sns_rp_position(
-                            strategy.fx, strategy.fs, chain_r[i], chain_d[i], d,
-                            strategy.sns_rp_variant, k,
-                        ),
-                        d,
-                        "sns_rp",
-                    )
-                    kk[i] = k
-        else:  # SNS_RF_RP
-            from_freq = (
-                strategy.sns_rf_rp_variant is SnsRfRpVariant.POSITION_FROM_FREQ
-            )
-            for i in range(3):
-                if i == 0 and not from_freq:
-                    continue  # reference phase already placed above
-                d = duty[i]
-                if d <= 0.0:
-                    pos[i] = 0.5
-                    continue
-                if i not in sns_phases:
                     pos[i] = rng.uniform(0.0, 1.0 - d)
-                    continue
-                if not chain_alive[i]:
-                    pos[i] = rng.uniform(0.0, 1.0 - d)
-                    if gap_seen[i]:
-                        stats.chain_restarts[i] += 1
-                        gap_seen[i] = False
-                    continue
-                kr = k_range_sns_rf_rp_pos(
-                    strategy.fx, fs_prev, fs_next, chain_r[i], d
-                )
-                if kr is None:
-                    pos[i] = rng.uniform(0.0, 1.0 - d)
-                    fb[i] = True
-                    stats.fallbacks[i] += 1
-                else:
-                    k = rng.randint(*kr)
-                    pos[i] = next_position_sns_rf_rp(
-                        strategy.fx, fs_prev, fs_next, chain_r[i], d, k
-                    )
-                    kk[i] = k
 
         ts = 1.0 / fs_next
         records.append(
@@ -708,16 +660,7 @@ def schedule(
                 fallback=(fb[0], fb[1], fb[2]),
             )
         )
-
-        for i in range(3):
-            if duty[i] > 0.0:
-                chain_r[i] = pos[i]
-                chain_d[i] = duty[i]
-                chain_alive[i] = True
-            else:
-                chain_alive[i] = False
-                gap_seen[i] = True
-        fs_prev = fs_next
+        r_prev, d_prev, fs_prev = pos, duty, fs_next
         t = t + ts
 
     stats.cycles = m

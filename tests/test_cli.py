@@ -85,6 +85,14 @@ def test_parse_config_types_and_comments(tmp_path):
         dict(reference_phase_only="maybe"),
         dict(strategy="sns_rp"),  # missing fx_hz for a notch strategy
         dict(strategy="rf"),  # missing band
+        dict(sns_rp_variant="same_cycle"),  # not a cancel method
+        dict(fs_hz="inf"),  # non-finite values
+        dict(fs_hz="nan"),
+        dict(duration_s="inf"),
+        dict(duration_s="nan"),
+        dict(strategy="sns_rp", fx_hz="nan"),
+        dict(f1_hz="nan"),
+        dict(u_dc_v="nan"),
     ],
 )
 def test_parse_config_rejects_bad_values(tmp_path, mutate):

@@ -532,21 +532,16 @@ def test_strategy_spec_validation():
         StrategySpec(kind=StrategyKind.RF, fs_min=3500.0, fs_max=1500.0).validate()
     with pytest.raises(ConfigError):
         StrategySpec(kind=StrategyKind.SNS_RF_RP, fs_min=1500.0, fs_max=3500.0).validate()
-    with pytest.raises(ConfigError):
-        StrategySpec(
-            kind=StrategyKind.SNS_RP,
-            fs=2500.0,
-            fx=7000.0,
-            sns_rp_variant=CancelMethod.SAME_CYCLE,
-        ).validate()
-    with pytest.raises(ConfigError):
-        StrategySpec(
-            kind=StrategyKind.FIXED_POS,
-            fs_min=1500.0,
-            fs_max=3500.0,
-            fx=7000.0,
-            cancel_method=CancelMethod.SAME_CYCLE,
-        ).validate()
+    for bad in (
+        dict(kind=StrategyKind.RP, fs=math.inf),
+        dict(kind=StrategyKind.RP, fs=math.nan),
+        dict(kind=StrategyKind.SNS_RP, fs=2500.0, fx=math.nan),
+        dict(kind=StrategyKind.SNS_RP, fs=2500.0, fx=math.inf),
+        dict(kind=StrategyKind.RF, fs_min=1500.0, fs_max=math.inf),
+        dict(kind=StrategyKind.RF, fs_min=math.nan, fs_max=3500.0),
+    ):
+        with pytest.raises(ConfigError):
+            StrategySpec(**bad).validate()
     spec_for(StrategyKind.SNS_RP).validate()
 
 
