@@ -42,6 +42,7 @@ from .scheduler import (
     schedule,
 )
 from .spectrum import (
+    WELCH_WINDOWS,
     NotchReport,
     Spectrum,
     TooShortError,
@@ -50,7 +51,9 @@ from .spectrum import (
     welch_psd,
 )
 from .synthesis import (
+    MIN_SAMPLES_PER_CYCLE,
     PulseTrain,
+    RateTooLowError,
     SampledWaveform,
     line_voltage,
     pulse_train,
@@ -198,12 +201,27 @@ def _validate_scenario(cfg: ScenarioConfig) -> None:
         raise ConfigError(f"half_band_hz must be positive, got {cfg.half_band_hz}")
     if not 0.0 <= cfg.psd_overlap < 1.0:
         raise ConfigError(f"psd_overlap must be in [0, 1), got {cfg.psd_overlap}")
+    if cfg.psd_segment_len < 2 or cfg.psd_segment_len & (cfg.psd_segment_len - 1):
+        raise ConfigError(
+            f"psd_segment_len must be a power of two, got {cfg.psd_segment_len}"
+        )
+    if cfg.psd_window not in WELCH_WINDOWS:
+        raise ConfigError(
+            f"psd_window must be one of {', '.join(WELCH_WINDOWS)}, "
+            f"got {cfg.psd_window!r}"
+        )
     if cfg.export_window_s <= 0.0:
         raise ConfigError(
             f"export_window_s must be positive, got {cfg.export_window_s}"
         )
     strategy_spec(cfg).validate()
     modulator_config(cfg)
+    fs_top = max(f for f in (cfg.fs_hz, cfg.fs_max_hz) if f is not None)
+    if cfg.sample_rate_hz < MIN_SAMPLES_PER_CYCLE * fs_top:
+        raise ConfigError(
+            f"sample_rate_hz {cfg.sample_rate_hz:g} gives fewer than "
+            f"{MIN_SAMPLES_PER_CYCLE:g} samples per cycle at {fs_top:g} Hz switching"
+        )
 
 
 def strategy_spec(cfg: ScenarioConfig) -> StrategySpec:
@@ -267,7 +285,10 @@ def run_strategy(
     """Schedule, synthesize, sample, and estimate the line-voltage PSD."""
     result = schedule(spec, modcfg, cfg.duration_s, cfg.seed)
     trains = tuple(pulse_train(result.records, p) for p in ("a", "b", "c"))
-    waves = tuple(sample(tr, cfg.sample_rate_hz) for tr in trains)
+    try:
+        waves = tuple(sample(tr, cfg.sample_rate_hz) for tr in trains)
+    except RateTooLowError as exc:
+        raise ConfigError(str(exc)) from exc
     u_ab = SampledWaveform(
         values=line_voltage(waves[0].values, waves[1].values, cfg.u_dc_v),
         rate=cfg.sample_rate_hz,
@@ -332,17 +353,22 @@ def write_cycles_csv(path: Path, records: Sequence[CycleRecord]) -> None:
             fh.write(",".join(cells) + "\n")
 
 
-def write_psd_csv(path: Path, psd: Spectrum, baseline: Optional[Spectrum] = None) -> None:
+def _write_columns(path: Path, header: str, columns: Sequence[np.ndarray]) -> None:
+    """Write float columns as CSV rows of repr values under a header."""
+    rows = zip(*(map(repr, np.asarray(col, dtype=float).tolist()) for col in columns))
+    body = "\n".join(map(",".join, rows))
     with _open_out(path) as fh:
-        fh.write("# notchpwm psd v1\n")
-        if baseline is None:
-            fh.write("freq_hz,psd_db_hz\n")
-            for f, v in zip(psd.freqs, psd.values):
-                fh.write(f"{repr(float(f))},{repr(float(v))}\n")
-        else:
-            fh.write("freq_hz,psd_db_hz,psd_baseline_db_hz\n")
-            for f, v, b in zip(psd.freqs, psd.values, baseline.values):
-                fh.write(f"{repr(float(f))},{repr(float(v))},{repr(float(b))}\n")
+        fh.write(header + body + "\n" if body else header)
+
+
+def write_psd_csv(path: Path, psd: Spectrum, baseline: Optional[Spectrum] = None) -> None:
+    if baseline is None:
+        header = "# notchpwm psd v1\nfreq_hz,psd_db_hz\n"
+        columns = (psd.freqs, psd.values)
+    else:
+        header = "# notchpwm psd v1\nfreq_hz,psd_db_hz,psd_baseline_db_hz\n"
+        columns = (psd.freqs, psd.values, baseline.values)
+    _write_columns(path, header, columns)
 
 
 def write_waveform_csv(
@@ -354,23 +380,17 @@ def write_waveform_csv(
     )
     t = np.arange(n) / cfg.sample_rate_hz
     xa, xb, xc = (w.values[:n] for w in artifacts.samples)
-    uab = artifacts.u_ab.values[:n]
-    with _open_out(path) as fh:
-        fh.write("# notchpwm waveform v1\n")
-        fh.write("time_s,x_a,x_b,x_c,u_ab_v\n")
-        for k in range(n):
-            fh.write(
-                f"{repr(float(t[k]))},{_fmt(float(xa[k]))},{_fmt(float(xb[k]))},"
-                f"{_fmt(float(xc[k]))},{repr(float(uab[k]))}\n"
-            )
+    _write_columns(
+        path,
+        "# notchpwm waveform v1\ntime_s,x_a,x_b,x_c,u_ab_v\n",
+        (t, xa, xb, xc, artifacts.u_ab.values[:n]),
+    )
 
 
 def write_current_csv(path: Path, trace: CurrentTrace) -> None:
-    with _open_out(path) as fh:
-        fh.write("# notchpwm current v1\n")
-        fh.write("time_s,i_a_amps\n")
-        for t, i in zip(trace.times, trace.values):
-            fh.write(f"{repr(float(t))},{repr(float(i))}\n")
+    _write_columns(
+        path, "# notchpwm current v1\ntime_s,i_a_amps\n", (trace.times, trace.values)
+    )
 
 
 def write_report(path: Path, entries: Sequence[tuple[str, object]]) -> None:

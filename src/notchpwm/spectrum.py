@@ -11,9 +11,12 @@ frequency to cancel pairwise; `cancellation_residual` measures the
 magnitude of the surviving edge sum, which telescopes to at most 2 for an
 unbroken locked chain regardless of its length.
 
-Estimated spectra use Welch's method on uniformly sampled waveforms.
-Power densities are reported in dB/Hz with a -200 dB/Hz floor so that
-exact zeros stay finite.
+Estimated spectra use Welch's method (Welch, IEEE Trans. Audio
+Electroacoust. 15(2), 1967) on uniformly sampled waveforms.  It is
+computed in numpy with the operations of `scipy.signal.welch` (scipy
+1.17) in the same order, and matches it bit for bit.  Power densities are
+reported in dB/Hz with a -200 dB/Hz floor so that exact zeros stay
+finite.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import signal
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .scheduler import CycleRecord, RunStats
 from .synthesis import SampledWaveform, _phase_index
@@ -35,6 +38,10 @@ _POWER_FLOOR = 1e-20
 NOTCH_THRESHOLD_DB = 6.0
 
 _FREQ_CHUNK = 256
+
+# cosine-sum coefficients of the Welch windows: w = sum_k a_k cos(k x)
+_COSINE_WINDOWS = {"hann": (0.5, 0.5), "hamming": (0.54, 1.0 - 0.54), "boxcar": (1.0,)}
+WELCH_WINDOWS = tuple(_COSINE_WINDOWS)
 
 
 class GridMismatchError(ValueError):
@@ -142,6 +149,21 @@ def analytic_psd(
     )
 
 
+def _periodic_window(name: str, size: int) -> np.ndarray:
+    """DFT-even cosine-sum window, built as scipy's `get_window` builds it."""
+    try:
+        coeffs = _COSINE_WINDOWS[name]
+    except KeyError:
+        raise ValueError(
+            f"window must be one of {', '.join(WELCH_WINDOWS)}, got {name!r}"
+        ) from None
+    phase = np.linspace(-np.pi, np.pi, size + 1)
+    win = np.zeros(size + 1)
+    for k, a in enumerate(coeffs):
+        win += a * np.cos(k * phase)
+    return win[:-1]
+
+
 def welch_psd(
     waveform: SampledWaveform,
     segment_len: int,
@@ -152,7 +174,10 @@ def welch_psd(
     """Welch PSD estimate of a sampled waveform, in dB/Hz.
 
     segment_len must be a power of two no longer than the waveform;
-    overlap is the fraction of a segment shared with its neighbor.
+    overlap is the fraction of a segment shared with its neighbor.  Each
+    segment has its mean removed (unless detrend is False) and is weighted
+    by a periodic `window` from WELCH_WINDOWS; the one-sided densities of
+    the segments are averaged.
     """
     n = waveform.values.size
     if segment_len < 2 or segment_len & (segment_len - 1):
@@ -163,17 +188,25 @@ def welch_psd(
         )
     if not 0.0 <= overlap < 1.0:
         raise ValueError(f"overlap fraction must be in [0, 1), got {overlap}")
+    if detrend not in ("constant", False):
+        raise ValueError(f"detrend must be 'constant' or False, got {detrend!r}")
     noverlap = int(overlap * segment_len)
-    freqs, power = signal.welch(
-        waveform.values,
-        fs=waveform.rate,
-        window=window,
-        nperseg=segment_len,
-        noverlap=noverlap,
-        detrend=detrend,
-        return_onesided=True,
-        scaling="density",
-    )
+    hop = segment_len - noverlap
+    win = _periodic_window(window, segment_len)
+    # density scaling; cumsum adds sequentially, as scipy's builtin sum does
+    win = win * (1.0 / np.sqrt(np.cumsum(win**2)[-1] / (1.0 / waveform.rate)))
+    n_seg = (n - noverlap) // hop
+    segments = sliding_window_view(waveform.values, segment_len)[: n_seg * hop : hop]
+    power = np.empty((n_seg, segment_len // 2 + 1))
+    for row, seg in zip(power, segments):
+        if detrend:
+            seg = seg - seg.mean()
+        spec = np.fft.rfft(seg * win)
+        np.add(spec.real**2, spec.imag**2, out=row)
+    power[:, 1:-1] *= 2.0
+    # average each bin over contiguous memory, so the sum is pairwise
+    power = power.T.copy().mean(axis=-1)
+    freqs = np.fft.rfftfreq(segment_len, 1.0 / waveform.rate)
     return Spectrum(
         freqs=freqs,
         values=power_to_db(power),

@@ -157,10 +157,17 @@ def sample(train: PulseTrain, rate: float) -> SampledWaveform:
             f"per cycle at {train.max_switching_freq:g} Hz switching"
         )
     n = int(round(train.duration * rate))
-    t = np.arange(n) / rate
-    idx = np.searchsorted(train.times, t, side="right")
+    # first sample at or after each edge; k / rate is the float the sample
+    # grid holds, so the product's rounding is corrected against it
+    first = np.ceil(train.times * rate)
+    first -= (first - 1.0) / rate >= train.times
+    first += first / rate < train.times
+    # sample k holds the level of the last edge at or before it
+    edges_seen = np.bincount(
+        np.clip(first, 0, n).astype(np.intp), minlength=n + 1
+    )[:n].cumsum()
     levels_ext = np.concatenate(([0.0], train.levels))
-    return SampledWaveform(values=levels_ext[idx], rate=rate)
+    return SampledWaveform(values=levels_ext[edges_seen], rate=rate)
 
 
 def phase_voltages(

@@ -93,6 +93,10 @@ def test_parse_config_types_and_comments(tmp_path):
         dict(strategy="sns_rp", fx_hz="nan"),
         dict(f1_hz="nan"),
         dict(u_dc_v="nan"),
+        dict(psd_segment_len=1000),  # not a power of two
+        dict(psd_window="hanning"),  # not a Welch window name
+        dict(sample_rate_hz=2e5),  # below 100 samples per 2500 Hz cycle
+        dict(strategy="rf", fs_min_hz=1500.0, fs_max_hz=3500.0, sample_rate_hz=3e5),
     ],
 )
 def test_parse_config_rejects_bad_values(tmp_path, mutate):
@@ -242,6 +246,24 @@ def test_main_exit_codes_and_overrides(tmp_path):
     assert (
         main(["compare", "--config", str(cfg_path), "--out", str(out)]) == 2
     )  # no fx_hz
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [dict(psd_segment_len=1000), dict(psd_window="hanning"), dict(sample_rate_hz=2e5)],
+)
+def test_main_bad_analysis_settings_exit_2(tmp_path, capsys, mutate):
+    bad = write_config(tmp_path / "bad.cfg", **mutate)
+    assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+    assert "unexpected error" not in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()  # rejected before any run
+
+
+def test_rate_too_low_at_run_time_is_a_config_error(tmp_path):
+    cfg = parse_config(write_config(tmp_path / "run.cfg", out_dir=tmp_path / "out"))
+    cfg.sample_rate_hz = 1e5  # set after validation, as an API caller may
+    with pytest.raises(ConfigError, match="samples per cycle"):
+        run_simulate(cfg)
 
 
 def test_main_compare_baseline_choice(tmp_path):

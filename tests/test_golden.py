@@ -6,6 +6,11 @@ restarts do not show in the CSV.  The matrix covers every strategy, both
 cancel methods, both SNS_RF_RP variants, all fixed positions, reference-
 phase-only locking and configurations that force fallbacks.
 
+A second table hashes the `psd.csv` the CLI writes: `simulate` at the
+paper's baseline point and on `rp`, a `compare` overlay, and non-default
+Welch windows, segment lengths and overlaps.  It pins the sampler and the
+Welch estimate bit for bit.
+
 The digests change only with a deliberate change of scheduling output.
 `python tests/test_golden.py` prints the table for such a change.
 """
@@ -23,7 +28,7 @@ from notchpwm import (
     StrategySpec,
     schedule,
 )
-from notchpwm.cli import write_cycles_csv
+from notchpwm.cli import ScenarioConfig, run_compare, run_simulate, write_cycles_csv
 
 DURATION_S = 0.06
 SEEDS = (1, 2)
@@ -641,6 +646,58 @@ def test_schedule_matches_golden_digest(tmp_path, case, label, m, seed):
     assert (digest, fallbacks, restarts) == GOLDEN[case]
 
 
+# (command, config overrides) per psd.csv case; the rest is the paper's
+# baseline point, shortened to 0.25 s at 1 MHz
+SNS_RP = dict(strategy=StrategyKind.SNS_RP, fx_hz=7000.0)
+RP = dict(strategy=StrategyKind.RP)
+PSD_CASES = {
+    "simulate-sns_rp": ("simulate", SNS_RP),
+    "simulate-rp": ("simulate", RP),
+    "compare-sns_rp-rp": ("compare", SNS_RP),
+    "simulate-hamming-4096-0.25": (
+        "simulate",
+        dict(SNS_RP, psd_window="hamming", psd_segment_len=4096, psd_overlap=0.25),
+    ),
+    "simulate-boxcar-2048-0.75": (
+        "simulate",
+        dict(RP, psd_window="boxcar", psd_segment_len=2048, psd_overlap=0.75),
+    ),
+}
+
+
+def run_psd_case(tmp_dir, label):
+    """SHA-256 of the psd.csv one CLI command writes."""
+    command, overrides = PSD_CASES[label]
+    values = dict(
+        m_index=0.7,
+        f1_hz=50.0,
+        u_dc_v=24.0,
+        duration_s=0.25,
+        seed=1,
+        fs_hz=2500.0,
+        psd_segment_len=16384,
+        export_window_s=0.001,
+        out_dir=str(tmp_dir),
+    )
+    cfg = ScenarioConfig(**{**values, **overrides})
+    (run_simulate if command == "simulate" else run_compare)(cfg)
+    return hashlib.sha256((tmp_dir / "psd.csv").read_bytes()).hexdigest()
+
+
+PSD_GOLDEN = {
+    "simulate-sns_rp": "8c2284dfa13fee781b0c6c85155197299932f8e705c3436b02867fc2a0a8a216",
+    "simulate-rp": "3b48d642667c13bcb04bccadc339c19d14e937fed65cd90d96205a8be1f57c56",
+    "compare-sns_rp-rp": "99a07c64797a8d72ccfbebdd8dfe648e3208d5c9cb4331f9a17d0ea494066e80",
+    "simulate-hamming-4096-0.25": "a66b7a683382876192d1317838b1a4e1c0a80e15be49881462e6eebe12b846d5",
+    "simulate-boxcar-2048-0.75": "525749b326bdf960beaa57b0f58c83d741e9ad9a8c79b97a09c19696e974ce51",
+}
+
+
+@pytest.mark.parametrize("label", PSD_CASES)
+def test_psd_csv_matches_golden_digest(tmp_path, label):
+    assert run_psd_case(tmp_path, label) == PSD_GOLDEN[label]
+
+
 if __name__ == "__main__":
     import pathlib
     import tempfile
@@ -650,4 +707,8 @@ if __name__ == "__main__":
         for case, label, m, seed in CASES:
             digest, fallbacks, restarts = run_case(pathlib.Path(tmp), label, m, seed)
             print(f'    "{case}": (\n        "{digest}",\n        {fallbacks},\n        {restarts},\n    ),')
+        print("}")
+        print("PSD_GOLDEN = {")
+        for label in PSD_CASES:
+            print(f'    "{label}": "{run_psd_case(pathlib.Path(tmp), label)}",')
         print("}")

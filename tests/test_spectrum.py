@@ -1,10 +1,15 @@
 """Tests for the exact transform, Welch estimates, and notch metrics."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import notchpwm
 from conftest import chain_rp, chain_sns_rp, rec
 from notchpwm import (
     CancelMethod,
@@ -157,6 +162,55 @@ def test_welch_validation():
         welch_psd(wave, 100)  # not a power of two
     with pytest.raises(ValueError):
         welch_psd(SampledWaveform(values=np.zeros(4096), rate=1e3), 1024, overlap=1.0)
+
+
+@pytest.mark.parametrize("n", (20001, 20000))  # odd and even lengths
+@pytest.mark.parametrize("detrend", ("constant", False))
+@pytest.mark.parametrize("overlap", (0.0, 0.25, 0.5, 0.75))
+@pytest.mark.parametrize("window", ("hann", "hamming", "boxcar"))
+def test_welch_matches_scipy(window, overlap, detrend, n):
+    signal = pytest.importorskip("scipy.signal")
+    rng = np.random.default_rng(n)
+    # a switched line voltage with an offset, plus noise so no bin is exact
+    values = 3.0 + 24.0 * rng.integers(-1, 2, n) + rng.standard_normal(n)
+    rate, seg = 1e6, 1024
+    wave = SampledWaveform(values=values, rate=rate)
+    spec = welch_psd(wave, seg, overlap, window, detrend)
+    freqs, power = signal.welch(
+        values,
+        fs=rate,
+        window=window,
+        nperseg=seg,
+        noverlap=int(overlap * seg),
+        detrend=detrend,
+        return_onesided=True,
+        scaling="density",
+    )
+    assert np.array_equal(spec.freqs, freqs)
+    # a relative power difference of 1e-12 is 4.3e-12 dB
+    tol_db = 10.0 * math.log10(1.0 + 1e-12)
+    assert np.max(np.abs(spec.values - power_to_db(power))) <= tol_db
+
+
+def test_welch_rejects_unknown_window_and_detrend():
+    wave = SampledWaveform(values=np.zeros(4096), rate=4096.0)
+    with pytest.raises(ValueError, match="hann, hamming, boxcar"):
+        welch_psd(wave, 1024, window="hanning")
+    with pytest.raises(ValueError, match="detrend"):
+        welch_psd(wave, 1024, detrend="linear")
+
+
+def test_import_loads_no_scipy():
+    code = (
+        "import sys, notchpwm, notchpwm.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    src = str(Path(notchpwm.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_welch_records_its_settings():

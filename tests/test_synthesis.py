@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import chain_rp, rec
 from notchpwm import (
     MalformedRecordsError,
     ModulatorConfig,
+    PulseTrain,
     RateTooLowError,
     StrategyKind,
     StrategySpec,
@@ -92,6 +95,82 @@ def test_edge_on_sample_instant_switches_at_that_sample():
     assert wave.values[1000] == 1.0
     assert wave.values[2999] == 1.0
     assert wave.values[3000] == 0.0
+
+
+def searchsorted_sample(train, rate):
+    """Oracle: the level of the last edge at or before each grid instant."""
+    n = int(round(train.duration * rate))
+    t = np.arange(n) / rate
+    idx = np.searchsorted(train.times, t, side="right")
+    return np.concatenate(([0.0], train.levels))[idx]
+
+
+RATES = (1e6, 999_999.0, 1_234_567.0, 48_000.0)
+
+
+@st.composite
+def edge_trains(draw):
+    """Edges on, one ulp either side of, and between grid instants, some past the end."""
+    rate = draw(st.sampled_from(RATES))
+    n = draw(st.integers(1, 3000))
+    placements = draw(
+        st.lists(
+            st.tuples(
+                st.integers(-2, n + 5),
+                st.sampled_from(("on", "below", "above", "between")),
+                st.floats(0.0, 1.0),
+            ),
+            max_size=60,
+        )
+    )
+    times = set()
+    for k, where, frac in placements:
+        t = k / rate
+        if where == "below":
+            t = np.nextafter(t, -np.inf)
+        elif where == "above":
+            t = np.nextafter(t, np.inf)
+        elif where == "between":
+            t = (k + frac) / rate
+        times.add(float(t))
+    times = np.array(sorted(times))
+    level = st.sampled_from((0.0, 1.0, 0.25, -3.5))
+    levels = np.array(draw(st.lists(level, min_size=times.size, max_size=times.size)))
+    return PulseTrain("a", times, levels, n / rate, 0.0), rate
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_trains())
+def test_sample_matches_searchsorted_at_grid_boundaries(case):
+    train, rate = case
+    values = sample(train, rate).values
+    want = searchsorted_sample(train, rate)
+    assert values.dtype == want.dtype
+    assert np.array_equal(values, want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(RATES),
+    st.integers(100, 400),
+    st.lists(
+        st.tuples(st.integers(0, 400), st.integers(0, 400), st.booleans()),
+        min_size=1,
+        max_size=30,
+    ),
+)
+def test_sample_matches_searchsorted_on_merged_pulses(rate, per_cycle, cycles):
+    # periods and edges are whole sample counts, so edges land on grid
+    # instants up to rounding; a cycle flagged `touch` ends its pulse at the
+    # cycle end, and when the next pulse starts at 0 the two merge
+    ts = per_cycle / rate
+    records = []
+    for m, (on, start, touch) in enumerate(cycles):
+        on = min(on, per_cycle)
+        start = per_cycle - on if touch else min(start, per_cycle - on)
+        records.append(rec(m + 1, m * ts, ts, on / per_cycle, start / per_cycle))
+    train = pulse_train(records, "a")
+    assert np.array_equal(sample(train, rate).values, searchsorted_sample(train, rate))
 
 
 def test_sample_rate_guard():
