@@ -222,6 +222,14 @@ def _validate_scenario(cfg: ScenarioConfig) -> None:
             f"sample_rate_hz {cfg.sample_rate_hz:g} gives fewer than "
             f"{MIN_SAMPLES_PER_CYCLE:g} samples per cycle at {fs_top:g} Hz switching"
         )
+    # the last cycle starts before duration_s and lasts at most 1 / fs_low
+    fs_low = min(f for f in (cfg.fs_hz, cfg.fs_min_hz) if f is not None)
+    most_samples = int((cfg.duration_s + 1.0 / fs_low) * cfg.sample_rate_hz) + 1
+    if cfg.psd_segment_len > most_samples:
+        raise ConfigError(
+            f"psd_segment_len {cfg.psd_segment_len} is longer than a "
+            f"{cfg.duration_s:g} s run can sample (at most {most_samples})"
+        )
 
 
 def strategy_spec(cfg: ScenarioConfig) -> StrategySpec:
@@ -538,22 +546,16 @@ def run_flatness(cfg: ScenarioConfig) -> list[tuple[float, float, float]]:
         f_center = cfg.fs_hz
     else:
         f_center = 0.5 * (cfg.fs_min_hz + cfg.fs_max_hz)
-
-    rows: list[tuple[float, float, float]] = []
-    for c in range(1, FLATNESS_MULTIPLES + 1):
-        center = c * f_center
-        std_db, peak_to_mean = band_flatness(
-            artifacts.psd,
-            center - FLATNESS_HALF_WINDOW_HZ,
-            center + FLATNESS_HALF_WINDOW_HZ,
-        )
-        rows.append((center, std_db, peak_to_mean))
-
-    with _open_out(out / "flatness.csv") as fh:
-        fh.write("# notchpwm flatness v1\n")
-        fh.write("center_hz,std_db,peak_to_mean_db\n")
-        for center, std_db, ptm in rows:
-            fh.write(f"{repr(center)},{repr(std_db)},{repr(ptm)}\n")
+    half = FLATNESS_HALF_WINDOW_HZ
+    rows = [
+        (center, *band_flatness(artifacts.psd, center - half, center + half))
+        for center in (c * f_center for c in range(1, FLATNESS_MULTIPLES + 1))
+    ]
+    _write_columns(
+        out / "flatness.csv",
+        "# notchpwm flatness v1\ncenter_hz,std_db,peak_to_mean_db\n",
+        tuple(zip(*rows)),
+    )
     write_report(
         out / "report.txt",
         _report_entries(cfg, artifacts, warnings, None, None),

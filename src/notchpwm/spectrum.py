@@ -28,7 +28,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .scheduler import CycleRecord, RunStats
-from .synthesis import SampledWaveform, _phase_index
+from .synthesis import SampledWaveform, edge_times
 
 # minimum power kept when converting to dB; 10*log10 of it is -200 dB/Hz
 _POWER_FLOOR = 1e-20
@@ -70,21 +70,18 @@ def power_to_db(power: np.ndarray) -> np.ndarray:
     return 10.0 * np.log10(np.maximum(np.asarray(power, dtype=float), _POWER_FLOOR))
 
 
-def edge_times(
-    records: Sequence[CycleRecord], phase: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rising and falling edge instants of one phase, skipping empty cycles."""
-    p = _phase_index(phase)
-    rises = []
-    falls = []
-    for rec in records:
-        d = rec.duty[p]
-        if d <= 0.0:
-            continue
-        r = rec.position[p]
-        rises.append(rec.t_m + r * rec.ts)
-        falls.append(rec.t_m + (r + d) * rec.ts)
-    return np.asarray(rises, dtype=float), np.asarray(falls, dtype=float)
+def _edge_sum(rises: np.ndarray, falls: np.ndarray, freqs: np.ndarray) -> np.ndarray:
+    """sum_m exp(-j 2 pi f b_m) - sum_m exp(-j 2 pi f a_m) at each f.
+
+    Work is chunked over frequency to bound memory.
+    """
+    out = np.zeros(freqs.shape, dtype=complex)
+    for lo in range(0, freqs.size, _FREQ_CHUNK):
+        f = freqs[lo : lo + _FREQ_CHUNK, None]
+        s_rise = np.exp(-2j * np.pi * f * rises[None, :]).sum(axis=1)
+        s_fall = np.exp(-2j * np.pi * f * falls[None, :]).sum(axis=1)
+        out[lo : lo + _FREQ_CHUNK] = s_rise - s_fall
+    return out
 
 
 def analytic_transform(
@@ -93,23 +90,15 @@ def analytic_transform(
     """Exact Fourier transform of one phase's pulse train on a grid.
 
     freqs must be nonzero (the transform has a 1/f pole carrying the DC
-    content).  Work is chunked over frequency to bound memory.
+    content).
     """
     freqs = np.asarray(freqs, dtype=float)
     if np.any(freqs == 0.0):
         raise ValueError("analytic transform is undefined at f = 0")
     rises, falls = edge_times(records, phase)
-    out = np.zeros(freqs.shape, dtype=complex)
-    if rises.size == 0:
-        return out
-    for lo in range(0, freqs.size, _FREQ_CHUNK):
-        f = freqs[lo : lo + _FREQ_CHUNK, None]
-        s_rise = np.exp(-2j * np.pi * f * rises[None, :]).sum(axis=1)
-        s_fall = np.exp(-2j * np.pi * f * falls[None, :]).sum(axis=1)
-        out[lo : lo + _FREQ_CHUNK] = (s_rise - s_fall) / (
-            2j * np.pi * freqs[lo : lo + _FREQ_CHUNK]
-        )
-    return out
+    if rises.size == 0:  # plain zeros; dividing them would sign some
+        return np.zeros(freqs.shape, dtype=complex)
+    return _edge_sum(rises, falls, freqs) / (2j * np.pi * freqs)
 
 
 def cancellation_residual(
@@ -122,11 +111,7 @@ def cancellation_residual(
     bounded by 2 while unlocked schedules grow like sqrt(cycle count).
     """
     rises, falls = edge_times(records, phase)
-    if rises.size == 0:
-        return 0.0
-    s_rise = np.exp(-2j * np.pi * fx * rises).sum()
-    s_fall = np.exp(-2j * np.pi * fx * falls).sum()
-    return float(abs(s_rise - s_fall))
+    return float(abs(_edge_sum(rises, falls, np.array([fx], dtype=float))[0]))
 
 
 def analytic_psd(

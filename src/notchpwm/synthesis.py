@@ -15,6 +15,7 @@ model can integrate without sampling error.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter, itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -75,71 +76,81 @@ def _phase_index(phase: str) -> int:
         raise ValueError(f"phase must be one of {PHASES}, got {phase!r}") from None
 
 
+def _columns(records: Sequence[CycleRecord], p: int) -> tuple[np.ndarray, ...]:
+    """t_m, ts, duty[p] and position[p] of every record as float64 arrays."""
+    t_m, ts, duty, position = (
+        map(attrgetter(name), records) for name in ("t_m", "ts", "duty", "position")
+    )
+    return tuple(
+        np.fromiter(values, dtype=float, count=len(records))
+        for values in (t_m, ts, map(itemgetter(p), duty), map(itemgetter(p), position))
+    )
+
+
+def _edges(t_m, ts, duty, position) -> tuple[np.ndarray, np.ndarray]:
+    """Rise and fall instants of the cycles with a positive duty."""
+    on = duty > 0.0
+    t_m, ts, r = t_m[on], ts[on], position[on]
+    return t_m + r * ts, t_m + (r + duty[on]) * ts
+
+
+def edge_times(
+    records: Sequence[CycleRecord], phase: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rising and falling edge instants of one phase, skipping empty cycles."""
+    return _edges(*_columns(records, _phase_index(phase)))
+
+
+def _check_records(records, p, t_m, ts, duty, position) -> None:
+    """Raise MalformedRecordsError for the first bad cycle, at its first failed check."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        ends = t_m + ts
+        gap = np.abs(t_m[1:] - ends[:-1]) > _REL_TOL * ts[1:]
+        in_cycle = (position >= -_REL_TOL) & (position <= 1.0 - duty + _REL_TOL)
+        # the range checks are written so that NaN fails them
+        checks = (
+            (ts <= 0.0, "nonpositive period {rec.ts}"),
+            (~np.isfinite(ends), "start {rec.t_m} plus period {rec.ts} is not finite"),
+            (np.r_[False, gap], "starts at {rec.t_m}, previous ended at {prev_end}"),
+            (~((duty >= 0.0) & (duty <= 1.0)), "duty {d} outside [0, 1]"),
+            (~in_cycle, "position {r} outside [0, {span}]"),
+        )
+    failed = np.array([mask for mask, _ in checks])
+    cycles = np.flatnonzero(failed.any(axis=0))
+    if cycles.size:
+        i = cycles[0]
+        rec = records[i]
+        d, r = rec.duty[p], rec.position[p]
+        why = checks[np.argmax(failed[:, i])][1].format(
+            rec=rec, prev_end=float(ends[i - 1]), d=d, r=r, span=1.0 - d
+        )
+        raise MalformedRecordsError(f"cycle {rec.m}: {why}")
+
+
 def pulse_train(records: Sequence[CycleRecord], phase: str) -> PulseTrain:
     """Build one phase leg's switch function from a schedule.
 
-    Validates that cycles tile the time axis without gaps or overlaps and
-    that duties and positions are in range.  A pulse ending exactly where
-    the next one starts is merged into a single on-interval.
+    Validates that cycles tile the time axis without gaps or overlaps,
+    that times are finite and that duties and positions are in range.  A
+    pulse starting where an earlier one ends joins its on-interval.
     """
     p = _phase_index(phase)
-    intervals: list[tuple[float, float]] = []
-    prev_end: float | None = None
-    min_ts = float("inf")
-
-    for rec in records:
-        if rec.ts <= 0.0:
-            raise MalformedRecordsError(f"cycle {rec.m}: nonpositive period {rec.ts}")
-        if prev_end is not None and abs(rec.t_m - prev_end) > _REL_TOL * rec.ts:
-            raise MalformedRecordsError(
-                f"cycle {rec.m}: starts at {rec.t_m}, previous ended at {prev_end}"
-            )
-        prev_end = rec.t_m + rec.ts
-        min_ts = min(min_ts, rec.ts)
-
-        d = rec.duty[p]
-        r = rec.position[p]
-        if not 0.0 <= d <= 1.0:
-            raise MalformedRecordsError(f"cycle {rec.m}: duty {d} outside [0, 1]")
-        if r < -_REL_TOL or r > 1.0 - d + _REL_TOL:
-            raise MalformedRecordsError(
-                f"cycle {rec.m}: position {r} outside [0, {1.0 - d}]"
-            )
-        if d <= 0.0:
-            continue
-        a = rec.t_m + r * rec.ts
-        b = rec.t_m + (r + d) * rec.ts
-        if b <= a:
-            continue
-        if intervals and a <= intervals[-1][1] + _MERGE_TOL:
-            last_a, last_b = intervals[-1]
-            intervals[-1] = (last_a, max(last_b, b))
-        else:
-            intervals.append((a, b))
-
     if not records:
-        return PulseTrain(
-            phase=phase,
-            times=np.empty(0),
-            levels=np.empty(0),
-            duration=0.0,
-            max_switching_freq=0.0,
-        )
-
-    times = np.empty(2 * len(intervals))
-    levels = np.empty(2 * len(intervals))
-    for i, (a, b) in enumerate(intervals):
-        times[2 * i] = a
-        times[2 * i + 1] = b
-        levels[2 * i] = 1.0
-        levels[2 * i + 1] = 0.0
-
+        return PulseTrain(phase, np.empty(0), np.empty(0), 0.0, 0.0)
+    t_m, ts, duty, position = _columns(records, p)
+    _check_records(records, p, t_m, ts, duty, position)
+    rises, falls = _edges(t_m, ts, duty, position)
+    a, b = rises[falls > rises], falls[falls > rises]
+    # a pulse opens a new on-interval only past the latest end so far
+    run_end = np.maximum.accumulate(b)
+    opens = np.flatnonzero(a > np.r_[-np.inf, run_end[:-1]] + _MERGE_TOL)
+    ends = np.append(run_end[opens[1:] - 1], run_end[-1:])
     return PulseTrain(
         phase=phase,
-        times=times,
-        levels=levels,
-        duration=prev_end,
-        max_switching_freq=1.0 / min_ts,
+        times=np.column_stack((a[opens], ends)).ravel(),
+        levels=np.tile([1.0, 0.0], opens.size),
+        duration=float(t_m[-1] + ts[-1]),
+        max_switching_freq=1.0 / float(ts.min()),
     )
 
 

@@ -2,12 +2,21 @@
 
 Synthetic single-phase schedules exercising the lock recursions outside the
 full scheduler, plus brute-force integer scans used as oracles for the
-closed-form k ranges.
+closed-form k ranges, record-by-record versions of `edge_times` and
+`pulse_train` used as oracles, and Hypothesis strategies for well-formed
+and malformed schedules.
 """
+
+from dataclasses import replace
+
+import numpy as np
+from hypothesis import strategies as st
 
 from notchpwm import (
     CancelMethod,
     CycleRecord,
+    MalformedRecordsError,
+    PulseTrain,
     SampledWaveform,
     SeededRng,
     SnsRfRpVariant,
@@ -23,6 +32,7 @@ from notchpwm import (
     sns_rp_position,
     welch_psd,
 )
+from notchpwm.synthesis import _MERGE_TOL, _REL_TOL
 
 K_SCAN = range(-100, 101)
 
@@ -159,3 +169,157 @@ def line_psd(records, u_dc, rate=1e6, segment_len=65536):
     n = min(x_a.values.size, x_b.values.size)
     u_ab = line_voltage(x_a.values[:n], x_b.values[:n], u_dc)
     return welch_psd(SampledWaveform(values=u_ab, rate=rate), segment_len)
+
+
+# ---------------------------------------------------------------------------
+# record-loop oracles
+
+
+def loop_edge_times(records, phase):
+    """Oracle: rising and falling edge instants, skipping empty cycles."""
+    p = "abc".index(phase)
+    rises = []
+    falls = []
+    for rec in records:
+        d = rec.duty[p]
+        if d <= 0.0:
+            continue
+        r = rec.position[p]
+        rises.append(rec.t_m + r * rec.ts)
+        falls.append(rec.t_m + (r + d) * rec.ts)
+    return np.asarray(rises, dtype=float), np.asarray(falls, dtype=float)
+
+
+def loop_pulse_train(records, phase):
+    """Oracle: one phase's switch function, checked and merged record by record."""
+    p = "abc".index(phase)
+    intervals = []
+    prev_end = None
+    min_ts = float("inf")
+
+    for rec in records:
+        if rec.ts <= 0.0:
+            raise MalformedRecordsError(f"cycle {rec.m}: nonpositive period {rec.ts}")
+        if prev_end is not None and abs(rec.t_m - prev_end) > _REL_TOL * rec.ts:
+            raise MalformedRecordsError(
+                f"cycle {rec.m}: starts at {rec.t_m}, previous ended at {prev_end}"
+            )
+        prev_end = rec.t_m + rec.ts
+        min_ts = min(min_ts, rec.ts)
+
+        d = rec.duty[p]
+        r = rec.position[p]
+        if not 0.0 <= d <= 1.0:
+            raise MalformedRecordsError(f"cycle {rec.m}: duty {d} outside [0, 1]")
+        if r < -_REL_TOL or r > 1.0 - d + _REL_TOL:
+            raise MalformedRecordsError(
+                f"cycle {rec.m}: position {r} outside [0, {1.0 - d}]"
+            )
+        if d <= 0.0:
+            continue
+        a = rec.t_m + r * rec.ts
+        b = rec.t_m + (r + d) * rec.ts
+        if b <= a:
+            continue
+        if intervals and a <= intervals[-1][1] + _MERGE_TOL:
+            last_a, last_b = intervals[-1]
+            intervals[-1] = (last_a, max(last_b, b))
+        else:
+            intervals.append((a, b))
+
+    if not records:
+        return PulseTrain(phase, np.empty(0), np.empty(0), 0.0, 0.0)
+    times = np.empty(2 * len(intervals))
+    levels = np.empty(2 * len(intervals))
+    for i, (a, b) in enumerate(intervals):
+        times[2 * i] = a
+        times[2 * i + 1] = b
+        levels[2 * i] = 1.0
+        levels[2 * i + 1] = 0.0
+    return PulseTrain(phase, times, levels, prev_end, 1.0 / min_ts)
+
+
+# ---------------------------------------------------------------------------
+# schedules for property tests
+
+PERIODS = (4e-4, 1.0 / 2500.0, 1.0 / 1500.0, 1.0 / 3500.0, 1e-3 / 3.0)
+
+
+def _leg(d, where):
+    """(duty, position) of one leg of a cycle.
+
+    where 0..3 puts the pulse at the front of the cycle, one tolerance
+    before it, at the back or one tolerance past it; a float where puts it
+    at that fraction of the free span.
+    """
+    if isinstance(where, float):
+        return d, where * (1.0 - d)
+    return d, (0.0, -_REL_TOL, 1.0 - d, 1.0 - d + _REL_TOL)[where]
+
+
+# zero, tiny, full or drawn duties
+_duties = st.sampled_from((0.0, 1.0, 5e-324, 1e-300, 1e-15, _REL_TOL)) | st.floats(0.0, 1.0)
+_legs = st.builds(_leg, _duties, st.integers(0, 3) | st.floats(0.0, 1.0))
+_periods = st.sampled_from(PERIODS) | st.floats(1e-5, 1e-2)
+
+
+def _tiled(t, cycles):
+    """Records of (ts, leg_a, leg_b, leg_c) cycles laid end to end from t."""
+    records = []
+    for m, (ts, *legs) in enumerate(cycles, start=1):
+        records.append(
+            CycleRecord(
+                m=m,
+                t_m=t,
+                ts=ts,
+                sector=1,
+                duty=tuple(d for d, _ in legs),
+                position=tuple(r for _, r in legs),
+                k_used=(None, None, None),
+                fallback=(False, False, False),
+            )
+        )
+        t = t + ts
+    return records
+
+
+def schedules(max_cycles=12):
+    """Contiguous cycles of mixed periods, tiled as `schedule` tiles them."""
+    cycles = st.tuples(_periods, _legs, _legs, _legs)
+    starts = st.sampled_from((0.0, 0.5, 123.456))
+    return st.builds(_tiled, starts, st.lists(cycles, min_size=1, max_size=max_cycles))
+
+
+def _faults(rec, p):
+    """rec broken each way a cycle can be, at leg p where a leg is broken.
+
+    The faults are a nonpositive period, a gap or an overlap with the
+    previous cycle, a duty outside [0, 1], and a pulse starting before or
+    ending after the cycle.
+    """
+
+    def leg(field, value):
+        values = list(getattr(rec, field))
+        values[p] = value
+        return replace(rec, **{field: tuple(values)})
+
+    return (
+        replace(rec, ts=0.0),
+        replace(rec, ts=-rec.ts),
+        replace(rec, t_m=rec.t_m + 2.0 * _REL_TOL * rec.ts),
+        replace(rec, t_m=rec.t_m - 0.5 * rec.ts),
+        leg("duty", -0.1),
+        leg("duty", 1.0 + 1e-12),
+        leg("position", -2.0 * _REL_TOL),
+        leg("position", 1.0 - rec.duty[p] + 2.0 * _REL_TOL),
+    )
+
+
+@st.composite
+def malformed_schedules(draw):
+    """Schedules with one to three cycles broken as `_faults` breaks them."""
+    records = draw(schedules())
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(records) - 1))
+        records[i] = draw(st.sampled_from(_faults(records[i], draw(st.integers(0, 2)))))
+    return records

@@ -4,14 +4,17 @@ import filecmp
 
 import pytest
 
-from notchpwm import CancelMethod, ConfigError, StrategyKind
+from notchpwm import CancelMethod, ConfigError, StrategyKind, schedule
 from notchpwm.cli import (
+    _validate_scenario,
     baseline_spec,
     main,
+    modulator_config,
     parse_config,
     run_compare,
     run_flatness,
     run_simulate,
+    strategy_spec,
 )
 
 ARTIFACTS = ("cycles.csv", "psd.csv", "waveform.csv", "current.csv", "report.txt")
@@ -97,12 +100,51 @@ def test_parse_config_types_and_comments(tmp_path):
         dict(psd_window="hanning"),  # not a Welch window name
         dict(sample_rate_hz=2e5),  # below 100 samples per 2500 Hz cycle
         dict(strategy="rf", fs_min_hz=1500.0, fs_max_hz=3500.0, sample_rate_hz=3e5),
+        dict(psd_segment_len=65536),  # longer than any 0.04 s run at 1 MHz
     ],
 )
 def test_parse_config_rejects_bad_values(tmp_path, mutate):
     path = write_config(tmp_path / "run.cfg", **mutate)
     with pytest.raises(ConfigError):
         parse_config(path)
+
+
+def test_segment_filled_only_by_the_last_cycle_is_accepted(tmp_path):
+    # 0.0326 s at 1 MHz is 32600 samples, but the run ends with its 82nd
+    # 0.4 ms cycle at 0.0328 s, which gives the 32768 the segment needs
+    cfg = parse_config(
+        write_config(
+            tmp_path / "run.cfg",
+            duration_s=0.0326,
+            psd_segment_len=32768,
+            out_dir=tmp_path / "out",
+        )
+    )
+    run_simulate(cfg)
+    assert (tmp_path / "out" / "psd.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "settings",
+    [
+        dict(strategy="rp", fs_hz=2500.0),
+        dict(strategy="rp", fs_hz=1234.5),
+        dict(strategy="rf", fs_min_hz=1500.0, fs_max_hz=3500.0),
+        dict(strategy="sns_rp", fs_hz=2500.0, fx_hz=7000.0),
+    ],
+)
+@pytest.mark.parametrize("duration_s", [0.0041, 0.0163, 0.0327, 0.0655])
+def test_segment_len_check_accepts_every_segment_the_run_fills(
+    tmp_path, settings, duration_s
+):
+    cfg = parse_config(
+        write_config(tmp_path / "run.cfg", duration_s=duration_s, **settings)
+    )
+    result = schedule(strategy_spec(cfg), modulator_config(cfg), duration_s, cfg.seed)
+    end = result.records[-1].t_m + result.records[-1].ts
+    samples = int(round(end * cfg.sample_rate_hz))
+    cfg.psd_segment_len = 1 << (samples.bit_length() - 1)  # the longest that fits
+    _validate_scenario(cfg)
 
 
 def test_parse_config_structural_errors(tmp_path):

@@ -8,9 +8,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import notchpwm
-from conftest import chain_rp, chain_sns_rp, rec
+from conftest import chain_rp, chain_sns_rp, loop_edge_times, rec, schedules
 from notchpwm import (
     CancelMethod,
     GridMismatchError,
@@ -99,6 +101,29 @@ def test_locked_chain_residual_is_bounded():
         assert cancellation_residual(records, "a", fx) <= 2.0 + 1e-9
         x = analytic_transform(records, "a", np.array([fx]))
         assert abs(x[0]) <= 2.0 / (2.0 * math.pi * fx) + 1e-12
+
+
+def loop_cancellation_residual(records, phase, fx):
+    """Oracle: the edge exponential sums at fx, each over a 1-D edge array."""
+    rises, falls = loop_edge_times(records, phase)
+    if rises.size == 0:
+        return 0.0
+    s_rise = np.exp(-2j * np.pi * fx * rises).sum()
+    s_fall = np.exp(-2j * np.pi * fx * falls).sum()
+    return float(abs(s_rise - s_fall))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    schedules(),
+    st.sampled_from("abc"),
+    st.sampled_from((7000.0, 900.0, 2500.0, 1e5)) | st.floats(-5e4, 5e4),
+)
+@example(chain_sns_rp(CancelMethod.FALL_AFTER_RISE, 200, seed=3), "a", 7000.0)
+def test_cancellation_residual_matches_record_loop(records, phase, fx):
+    assert cancellation_residual(records, phase, fx) == loop_cancellation_residual(
+        records, phase, fx
+    )
 
 
 def test_unlocked_chain_residual_grows():

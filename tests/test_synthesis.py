@@ -2,10 +2,17 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import chain_rp, rec
+from conftest import (
+    chain_rp,
+    loop_edge_times,
+    loop_pulse_train,
+    malformed_schedules,
+    rec,
+    schedules,
+)
 from notchpwm import (
     MalformedRecordsError,
     ModulatorConfig,
@@ -13,6 +20,7 @@ from notchpwm import (
     RateTooLowError,
     StrategyKind,
     StrategySpec,
+    edge_times,
     line_voltage,
     phase_voltages,
     pulse_train,
@@ -20,6 +28,7 @@ from notchpwm import (
     schedule,
     voltage_segments,
 )
+from notchpwm.synthesis import _REL_TOL
 
 
 def test_single_cycle_edges():
@@ -76,6 +85,83 @@ def test_malformed_records_raise():
     with pytest.raises(MalformedRecordsError):
         # position pushes the pulse past the cycle end
         pulse_train([rec(1, 0.0, 0.004, 0.5, 0.9)], "a")
+    nan, inf = float("nan"), float("inf")
+    for records in (
+        [rec(1, 0.0, 0.004, 0.5, nan)],
+        [rec(1, 0.0, 0.004, nan, 0.2)],
+        [rec(1, 0.0, nan, 0.5, 0.2)],
+        [rec(1, 0.0, inf, 0.5, 0.2)],
+        [rec(1, nan, 0.004, 0.5, 0.2)],
+        [rec(1, -inf, 0.004, 0.5, 0.2)],
+        [rec(1, 0.0, 0.004, 0.5, inf)],
+        [rec(1, 0.0, 0.004, 0.5, 0.2), rec(2, 0.004, nan, 0.5, 0.2)],
+        [rec(1, 0.0, 0.004, 0.5, 0.2), rec(2, nan, 0.004, 0.5, 0.2)],
+    ):
+        with pytest.raises(MalformedRecordsError):
+            pulse_train(records, "a")
+
+
+def test_malformed_records_name_the_first_bad_cycle():
+    records = [
+        rec(1, 0.0, 0.004, 0.5, 0.2),
+        rec(2, 0.004, 0.004, 1.5, 0.9),  # duty and position both bad
+        rec(3, 0.009, -1.0, 0.5, 0.2),
+    ]
+    with pytest.raises(MalformedRecordsError, match=r"^cycle 2: duty 1.5 outside \["):
+        pulse_train(records, "a")
+    with pytest.raises(MalformedRecordsError, match=r"^cycle 1: start 0.0 plus period nan"):
+        pulse_train([rec(1, 0.0, float("nan"), 0.5, 0.2)], "a")
+
+
+def train_outcome(build, records, phase):
+    """A train's edges, levels, span and top frequency, or its error message."""
+    try:
+        train = build(records, phase)
+    except MalformedRecordsError as exc:
+        return str(exc)
+    return train.times, train.levels, train.duration, train.max_switching_freq
+
+
+def assert_same_train(got, want):
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert not isinstance(got, str), got
+    for g, w in zip(got[:2], want[:2]):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+    assert (type(got[2]), got[2]) == (type(want[2]), want[2])
+    assert (type(got[3]), got[3]) == (type(want[3]), want[3])
+
+
+TOUCHING = [rec(1, 0.0, 4e-4, 0.25, 0.75), rec(2, 4e-4, 4e-4, 0.5, 0.0)]
+FULL = [rec(m, (m - 1) * 4e-4, 4e-4, 1.0, 0.0) for m in (1, 2, 3)]
+# a full pulse one tolerance past its cycle swallows the next, tiny pulse
+# starting one tolerance early: the on-interval keeps the earlier end
+SWALLOWED = [rec(1, 0.0, 4e-4, 1.0, _REL_TOL), rec(2, 4e-4, 4e-4, 1e-15, -_REL_TOL)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(schedules(), st.sampled_from("abc"))
+@example(TOUCHING, "a")
+@example(FULL, "a")
+@example(SWALLOWED, "a")
+def test_pulse_train_matches_record_loop(records, phase):
+    got = train_outcome(pulse_train, records, phase)
+    assert_same_train(got, train_outcome(loop_pulse_train, records, phase))
+
+
+@settings(max_examples=150, deadline=None)
+@given(malformed_schedules(), st.sampled_from("abc"))
+def test_malformed_message_matches_record_loop(records, phase):
+    want = train_outcome(loop_pulse_train, records, phase)
+    assert_same_train(train_outcome(pulse_train, records, phase), want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(schedules() | malformed_schedules(), st.sampled_from("abc"))
+def test_edge_times_match_record_loop(records, phase):
+    for got, want in zip(edge_times(records, phase), loop_edge_times(records, phase)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_sample_count_and_levels():
