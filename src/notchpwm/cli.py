@@ -22,15 +22,17 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
+from enum import Enum
 from pathlib import Path
-from typing import Optional, Sequence, TextIO
+from typing import Optional, Sequence, TextIO, get_type_hints
 
 import numpy as np
 
 from .circuit import CurrentTrace, LoadParams, rl_current
 from .modulator import ModulatorConfig
 from .scheduler import (
+    PHASES,
     CancelMethod,
     ConfigError,
     CycleRecord,
@@ -67,10 +69,17 @@ FLATNESS_MULTIPLES = 4
 # runs shorter than this many fundamental periods give noisy PSDs
 MIN_FUNDAMENTAL_PERIODS = 50.0
 
+# strategy kinds `compare --baseline` accepts
+BASELINE_KINDS = ("rp", "csvpwm", "rf")
+
 
 @dataclass
 class ScenarioConfig:
-    """Everything a run needs, as read from one config file."""
+    """Everything a run needs, as read from one config file.
+
+    The fields are the config keys: each value is parsed by its field's
+    annotated type, and the fields without a default are required.
+    """
 
     strategy: StrategyKind
     m_index: float
@@ -118,34 +127,20 @@ def _parse_enum(enum_cls):
     return convert
 
 
-_CONVERTERS = {
-    "strategy": _parse_enum(StrategyKind),
-    "m_index": float,
-    "f1_hz": float,
-    "u_dc_v": float,
-    "duration_s": float,
-    "seed": int,
-    "fs_hz": float,
-    "fs_min_hz": float,
-    "fs_max_hz": float,
-    "fx_hz": float,
-    "half_band_hz": float,
-    "sns_rp_variant": _parse_enum(CancelMethod),
-    "sns_rf_rp_variant": _parse_enum(SnsRfRpVariant),
-    "fixed_position": _parse_enum(PulsePosition),
-    "cancel_method": _parse_enum(CancelMethod),
-    "reference_phase_only": _parse_bool,
-    "sample_rate_hz": float,
-    "psd_segment_len": int,
-    "psd_overlap": float,
-    "psd_window": str,
-    "load_r_ohm": float,
-    "load_l_h": float,
-    "out_dir": str,
-    "export_window_s": float,
-}
+# every config key is a ScenarioConfig field, parsed by its annotated type
+_PARSERS = {float: float, Optional[float]: float, int: int, str: str, bool: _parse_bool}
 
-_REQUIRED = ("strategy", "m_index", "f1_hz", "u_dc_v", "duration_s", "seed")
+
+def _converter(hint):
+    if isinstance(hint, type) and issubclass(hint, Enum):
+        return _parse_enum(hint)
+    return _PARSERS[hint]
+
+
+_CONVERTERS = {
+    name: _converter(hint) for name, hint in get_type_hints(ScenarioConfig).items()
+}
+_REQUIRED = tuple(f.name for f in fields(ScenarioConfig) if f.default is MISSING)
 
 
 def parse_config(path) -> ScenarioConfig:
@@ -258,22 +253,20 @@ def modulator_config(cfg: ScenarioConfig) -> ModulatorConfig:
 
 def baseline_spec(cfg: ScenarioConfig, kind: str) -> StrategySpec:
     """Baseline strategy inheriting the shared parameters of the config."""
-    if kind in ("rp", "csvpwm"):
-        fs = cfg.fs_hz
-        if fs is None:
-            if cfg.fs_min_hz is None or cfg.fs_max_hz is None:
-                raise ConfigError(f"baseline {kind!r} needs fs_hz or a band")
-            fs = 0.5 * (cfg.fs_min_hz + cfg.fs_max_hz)
-        return StrategySpec(
-            kind=StrategyKind.RP if kind == "rp" else StrategyKind.CSVPWM, fs=fs
-        )
+    if kind not in BASELINE_KINDS:
+        raise ConfigError(f"unknown baseline kind {kind!r}")
     if kind == "rf":
         if cfg.fs_min_hz is None or cfg.fs_max_hz is None:
             raise ConfigError("baseline 'rf' needs fs_min_hz and fs_max_hz")
         return StrategySpec(
             kind=StrategyKind.RF, fs_min=cfg.fs_min_hz, fs_max=cfg.fs_max_hz
         )
-    raise ConfigError(f"unknown baseline kind {kind!r}")
+    fs = cfg.fs_hz
+    if fs is None:
+        if cfg.fs_min_hz is None or cfg.fs_max_hz is None:
+            raise ConfigError(f"baseline {kind!r} needs fs_hz or a band")
+        fs = 0.5 * (cfg.fs_min_hz + cfg.fs_max_hz)
+    return StrategySpec(kind=StrategyKind(kind), fs=fs)
 
 
 @dataclass
@@ -292,7 +285,7 @@ def run_strategy(
 ) -> RunArtifacts:
     """Schedule, synthesize, sample, and estimate the line-voltage PSD."""
     result = schedule(spec, modcfg, cfg.duration_s, cfg.seed)
-    trains = tuple(pulse_train(result.records, p) for p in ("a", "b", "c"))
+    trains = tuple(pulse_train(result.records, p) for p in PHASES)
     try:
         waves = tuple(sample(tr, cfg.sample_rate_hz) for tr in trains)
     except RateTooLowError as exc:
@@ -348,17 +341,9 @@ def write_cycles_csv(path: Path, records: Sequence[CycleRecord]) -> None:
             "k_a,k_b,k_c,fallback_a,fallback_b,fallback_c\n"
         )
         for rec in records:
-            cells = [
-                str(rec.m),
-                repr(rec.t_m),
-                repr(rec.ts),
-                str(rec.sector),
-                *(repr(d) for d in rec.duty),
-                *(repr(r) for r in rec.position),
-                *("" if k is None else str(k) for k in rec.k_used),
-                *("1" if f else "0" for f in rec.fallback),
-            ]
-            fh.write(",".join(cells) + "\n")
+            cells = (rec.m, rec.t_m, rec.ts, rec.sector, *rec.duty, *rec.position)
+            cells += (*rec.k_used, *rec.fallback)
+            fh.write(",".join(map(_fmt, cells)) + "\n")
 
 
 def _write_columns(path: Path, header: str, columns: Sequence[np.ndarray]) -> None:
@@ -421,17 +406,15 @@ def _report_entries(
         ("seed", cfg.seed),
         ("duration_s", cfg.duration_s),
         ("cycles", stats.cycles),
-        ("fallbacks", stats.total_fallbacks),
-        ("fallbacks_a", stats.fallbacks[0]),
-        ("fallbacks_b", stats.fallbacks[1]),
-        ("fallbacks_c", stats.fallbacks[2]),
-        ("chain_restarts", stats.total_chain_restarts),
-        ("chain_restarts_a", stats.chain_restarts[0]),
-        ("chain_restarts_b", stats.chain_restarts[1]),
-        ("chain_restarts_c", stats.chain_restarts[2]),
-        ("feasibility_warnings", len(stats.feasibility_warnings)),
-        ("warnings", len(warnings)),
     ]
+    for name, per_phase in (
+        ("fallbacks", stats.fallbacks),
+        ("chain_restarts", stats.chain_restarts),
+    ):
+        entries.append((name, sum(per_phase)))
+        entries.extend((f"{name}_{p}", n) for p, n in zip(PHASES, per_phase))
+    entries.append(("feasibility_warnings", len(stats.feasibility_warnings)))
+    entries.append(("warnings", len(warnings)))
     for idx, text in enumerate(warnings, start=1):
         entries.append((f"warning_{idx}", text))
     entries.append(("psd_resolution_hz", artifacts.psd.resolution))
@@ -582,7 +565,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if name == "compare":
             p.add_argument(
                 "--baseline",
-                choices=("rp", "csvpwm", "rf"),
+                choices=BASELINE_KINDS,
                 default="rp",
                 help="baseline strategy kind",
             )
@@ -593,9 +576,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.out is not None:
             cfg.out_dir = args.out
         if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError(f"seed must be nonnegative, got {args.seed}")
             cfg.seed = args.seed
+        _validate_scenario(cfg)
         if args.command == "simulate":
             run_simulate(cfg)
         elif args.command == "compare":

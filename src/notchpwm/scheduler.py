@@ -59,6 +59,10 @@ PHASES = ("a", "b", "c")
 # a bug rather than roundoff
 _BOUND_TOL = 1e-9
 
+# most cycles one schedule() call may generate: each CycleRecord costs
+# about 0.6 kB and 10 us, so this bounds a run near 0.6 GB and 10 s
+MAX_CYCLES = 1_000_000
+
 
 class ConfigError(ValueError):
     """Inconsistent or incomplete strategy/scenario configuration."""
@@ -513,14 +517,24 @@ def schedule(
     (counted in chain_restarts); an empty k range falls back to a plain
     uniform position or frequency draw for that cycle (counted in
     fallbacks).
+
+    Raises ConfigError, before any cycle is generated, for an invalid
+    spec, a negative or non-finite duration, or a run that would need
+    more than MAX_CYCLES cycles.
     """
     strategy.validate()
-    if not math.isfinite(duration):
-        raise ConfigError(f"duration must be finite, got {duration}")
+    if not 0.0 <= duration < math.inf:
+        raise ConfigError(f"duration must be finite and nonnegative, got {duration}")
     stats = RunStats()
     kind = strategy.kind
     fx, fs, fs_min, fs_max = strategy.fx, strategy.fs, strategy.fs_min, strategy.fs_max
     fixed_fs = kind in (StrategyKind.CSVPWM, StrategyKind.RP, StrategyKind.SNS_RP)
+    fs_top = fs if fixed_fs else fs_max  # banded draws and solves stay <= fs_max
+    if duration * fs_top > MAX_CYCLES:
+        raise ConfigError(
+            f"a {duration:g} s run at up to {fs_top:g} Hz needs more than "
+            f"{MAX_CYCLES} cycles"
+        )
     # FIXED_POS and FREQ_FROM_POSITION solve the shared frequency from the
     # lock of reference phase A; the SNS kinds solve the positions of their
     # locked phases, except a phase A already locked by the frequency

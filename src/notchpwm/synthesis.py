@@ -157,8 +157,9 @@ def pulse_train(records: Sequence[CycleRecord], phase: str) -> PulseTrain:
 def sample(train: PulseTrain, rate: float) -> SampledWaveform:
     """Zero-order-hold samples of a pulse train on a uniform grid.
 
-    Samples lie at k / rate for k = 0 .. floor(duration * rate) - 1.  An
-    edge falling exactly on a sample instant takes effect at that sample.
+    Samples lie at k / rate for k = 0 .. n - 1, where n = round(duration *
+    rate) is the nearest integer (ties to even).  An edge falling exactly
+    on a sample instant takes effect at that sample.
     """
     if rate <= 0.0:
         raise ValueError(f"sample rate must be positive, got {rate}")

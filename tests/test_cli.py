@@ -1,11 +1,20 @@
 """Tests for config parsing, artifact writing, and the command line."""
 
 import filecmp
+from dataclasses import MISSING, fields
 
 import pytest
 
-from notchpwm import CancelMethod, ConfigError, StrategyKind, schedule
+from notchpwm import (
+    CancelMethod,
+    ConfigError,
+    PulsePosition,
+    SnsRfRpVariant,
+    StrategyKind,
+    schedule,
+)
 from notchpwm.cli import (
+    ScenarioConfig,
     _validate_scenario,
     baseline_spec,
     main,
@@ -75,6 +84,53 @@ def test_parse_config_types_and_comments(tmp_path):
     assert cfg.psd_segment_len == 4096
     assert cfg.fx_hz == 7000.0
     assert cfg.out_dir == "out"  # default preserved
+
+
+# per ScenarioConfig field: config text, the value it parses to (neither
+# the field's default nor write_config's base value), and settings it needs
+FIELD_CASES = {
+    "strategy": ("sns_rp", StrategyKind.SNS_RP, dict(fx_hz=7000.0)),
+    "m_index": ("0.5", 0.5, {}),
+    "f1_hz": ("60", 60.0, {}),
+    "u_dc_v": ("48", 48.0, {}),
+    "duration_s": ("0.05", 0.05, {}),
+    "seed": ("7", 7, {}),
+    "fs_hz": ("2000", 2000.0, {}),
+    "fs_min_hz": ("1500", 1500.0, dict(strategy="rf", fs_max_hz=3500.0)),
+    "fs_max_hz": ("3500", 3500.0, dict(strategy="rf", fs_min_hz=1500.0)),
+    "fx_hz": ("7000", 7000.0, {}),
+    "half_band_hz": ("250", 250.0, {}),
+    "sns_rp_variant": ("RISE_AFTER_FALL", CancelMethod.RISE_AFTER_FALL, {}),
+    "sns_rf_rp_variant": (
+        "freq_from_position",
+        SnsRfRpVariant.FREQ_FROM_POSITION,
+        {},
+    ),
+    "fixed_position": ("back", PulsePosition.BACK, {}),
+    "cancel_method": ("rise_after_fall", CancelMethod.RISE_AFTER_FALL, {}),
+    "reference_phase_only": ("on", True, {}),
+    "sample_rate_hz": ("2e6", 2e6, {}),
+    "psd_segment_len": ("2048", 2048, {}),
+    "psd_overlap": ("0.25", 0.25, {}),
+    "psd_window": ("hamming", "hamming", {}),
+    "load_r_ohm": ("2.5", 2.5, {}),
+    "load_l_h": ("0.001", 0.001, {}),
+    "out_dir": ("elsewhere", "elsewhere", {}),
+    "export_window_s": ("0.02", 0.02, {}),
+}
+
+
+@pytest.mark.parametrize("field", fields(ScenarioConfig), ids=lambda f: f.name)
+def test_parse_config_reads_every_field(tmp_path, field):
+    text, expected, needs = FIELD_CASES[field.name]
+    assert expected != field.default
+    settings = {**needs, field.name: text}
+    cfg = parse_config(write_config(tmp_path / "run.cfg", **settings))
+    value = getattr(cfg, field.name)
+    assert value == expected and type(value) is type(expected)
+    if field.default is MISSING:  # a required key
+        with pytest.raises(ConfigError, match=f"missing required keys: {field.name}"):
+            parse_config(write_config(tmp_path / "run.cfg", drop=(field.name,)))
 
 
 @pytest.mark.parametrize(
@@ -284,6 +340,11 @@ def test_main_exit_codes_and_overrides(tmp_path):
 
     bad = write_config(tmp_path / "bad.cfg", duration_s=-1.0)
     assert main(["simulate", "--config", str(bad)]) == 2
+    # overrides are checked like values from the file, before any run
+    seed_out = tmp_path / "seed_out"
+    args = ["simulate", "--config", str(cfg_path), "--out", str(seed_out)]
+    assert main([*args, "--seed", "-1"]) == 2
+    assert not seed_out.exists()
     assert main(["simulate", "--config", str(tmp_path / "nope.cfg")]) == 2
     assert (
         main(["compare", "--config", str(cfg_path), "--out", str(out)]) == 2

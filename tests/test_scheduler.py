@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+import notchpwm.scheduler as scheduler_module
 from conftest import brute_k_freq, brute_k_pos, brute_k_sns_rp
 from notchpwm import (
     CancelMethod,
@@ -433,6 +434,44 @@ def test_schedule_zero_duration_is_empty():
     res = schedule(spec_for(StrategyKind.RP), MOD, 0.0, 1)
     assert res.records == []
     assert res.stats.cycles == 0
+
+
+@pytest.mark.parametrize("duration", [-1.0, -1e-12, math.inf, -math.inf, math.nan])
+def test_schedule_rejects_negative_and_nonfinite_duration(duration):
+    with pytest.raises(ConfigError, match="duration"):
+        schedule(spec_for(StrategyKind.RP), MOD, duration, 0)
+
+
+def _no_cycle_may_start(*args):
+    raise AssertionError("schedule() started a cycle past the cycle-count guard")
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        spec_for(StrategyKind.RP, fs=1e12),
+        spec_for(StrategyKind.SNS_RP, fs=1e12),
+        spec_for(StrategyKind.RF, fs_max=1e12),
+        spec_for(StrategyKind.FIXED_POS, fs_max=1e12),
+    ],
+)
+def test_schedule_cycle_count_guard_fires_before_any_cycle(monkeypatch, spec):
+    # every cycle begins with angle_at: a run that got past the guard fails
+    # here at once instead of growing 1e12 records
+    monkeypatch.setattr(scheduler_module, "angle_at", _no_cycle_may_start)
+    with pytest.raises(ConfigError, match="cycles"):
+        schedule(spec, MOD, 1.0, 0)
+
+
+def test_schedule_cycle_count_guard_bound(monkeypatch):
+    monkeypatch.setattr(scheduler_module, "MAX_CYCLES", 100)
+    spec = spec_for(StrategyKind.RP)
+    assert schedule(spec, MOD, 0.04, 0).stats.cycles >= 100  # 0.04 * 2500 = 100
+    with pytest.raises(ConfigError, match="more than 100 cycles"):
+        schedule(spec, MOD, 0.0404, 0)
+    band = spec_for(StrategyKind.RF, fs_min=1000.0, fs_max=3500.0)
+    with pytest.raises(ConfigError):  # bounded by fs_max, not the mean rate
+        schedule(band, MOD, 0.04, 0)
 
 
 def test_schedule_covers_duration_contiguously():
