@@ -87,8 +87,8 @@ def rl_current(
         raise ValueError(f"sample rate must be positive, got {sample_rate}")
     t0, t1 = times[0], times[-1]
     first = int(np.ceil(t0 * sample_rate - 1e-12))
-    n = int((t1 - t0) * sample_rate)
-    t = (first + np.arange(n)) / sample_rate
+    # one grid point past ceil(t1 * rate) covers the product's rounding
+    t = np.arange(first, int(np.ceil(t1 * sample_rate)) + 1) / sample_rate
     t = t[t < t1]
     seg = np.clip(np.searchsorted(times, t, side="right") - 1, 0, voltages.size - 1)
     vals = steady[seg] + (knots[seg] - steady[seg]) * np.exp(-(t - times[seg]) / tau)

@@ -72,6 +72,11 @@ MIN_FUNDAMENTAL_PERIODS = 50.0
 # strategy kinds `compare --baseline` accepts
 BASELINE_KINDS = ("rp", "csvpwm", "rf")
 
+# most samples per phase a run may raster: `simulate` peaks near 78 bytes
+# per sample (peak RSS of 1 s and 4 s sns_rp runs at 1 MHz, numpy 2.4), so
+# this keeps a run near 2 GB
+MAX_SAMPLES = 25_000_000
+
 
 @dataclass
 class ScenarioConfig:
@@ -220,6 +225,11 @@ def _validate_scenario(cfg: ScenarioConfig) -> None:
     # the last cycle starts before duration_s and lasts at most 1 / fs_low
     fs_low = min(f for f in (cfg.fs_hz, cfg.fs_min_hz) if f is not None)
     most_samples = int((cfg.duration_s + 1.0 / fs_low) * cfg.sample_rate_hz) + 1
+    if most_samples > MAX_SAMPLES:
+        raise ConfigError(
+            f"a {cfg.duration_s:g} s run at {cfg.sample_rate_hz:g} Hz needs up to "
+            f"{most_samples} samples per phase, more than the {MAX_SAMPLES} allowed"
+        )
     if cfg.psd_segment_len > most_samples:
         raise ConfigError(
             f"psd_segment_len {cfg.psd_segment_len} is longer than a "
@@ -470,9 +480,7 @@ def _scored(
 ) -> tuple[NotchReport, Spectrum]:
     """Notch report of the run against a same-seed baseline, and its PSD."""
     base = run_strategy(base_spec, modcfg, cfg)
-    report = notch_report(
-        artifacts.psd, base.psd, cfg.fx_hz, cfg.half_band_hz, stats=artifacts.result.stats
-    )
+    report = notch_report(artifacts.psd, base.psd, cfg.fx_hz, cfg.half_band_hz)
     return report, base.psd
 
 

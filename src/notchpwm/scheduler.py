@@ -68,10 +68,6 @@ class ConfigError(ValueError):
     """Inconsistent or incomplete strategy/scenario configuration."""
 
 
-class InfeasibleError(RuntimeError):
-    """No integer k satisfies the position (or band) constraints."""
-
-
 class OutOfBandError(RuntimeError):
     """A computed position or frequency violates its admissible range."""
 
@@ -310,29 +306,6 @@ def _checked_freq(
             return fs_max
         raise OutOfBandError(f"{context}: solved fs {fs} above band [{fs_min}, {fs_max}]")
     return fs
-
-
-def next_position_sns_rp(
-    fx: float,
-    fs: float,
-    r_prev: float,
-    d_prev: float,
-    d_next: float,
-    variant: CancelMethod,
-    rng: SeededRng,
-) -> tuple[float, int]:
-    """Draw k uniformly from the admissible range and place the next pulse.
-
-    Raises InfeasibleError when no integer k exists.
-    """
-    kr = k_range_sns_rp(fx, fs, r_prev, d_next, variant=variant, d_prev=d_prev)
-    if kr is None:
-        raise InfeasibleError(
-            f"no lock integer for fx={fx}, fs={fs}, r_prev={r_prev}, d_next={d_next}"
-        )
-    k = rng.randint(*kr)
-    r = sns_rp_position(fx, fs, r_prev, d_prev, d_next, variant, k)
-    return _checked_position(r, d_next, "sns_rp"), k
 
 
 def feasibility_min_fx(

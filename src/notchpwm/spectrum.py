@@ -22,12 +22,12 @@ finite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .scheduler import CycleRecord, RunStats
+from .scheduler import CycleRecord
 from .synthesis import SampledWaveform, edge_times
 
 # minimum power kept when converting to dB; 10*log10 of it is -200 dB/Hz
@@ -58,11 +58,7 @@ class Spectrum:
 
     freqs: np.ndarray
     values: np.ndarray
-    mode: str
     resolution: float
-    window: Optional[str] = None
-    segment_len: Optional[int] = None
-    overlap: Optional[float] = None
 
 
 def power_to_db(power: np.ndarray) -> np.ndarray:
@@ -129,9 +125,7 @@ def analytic_psd(
         raise ValueError("empty schedule has no spectrum")
     power = (np.abs(x) ** 2) * 2.0 / duration
     res = float(freqs[1] - freqs[0]) if freqs.size > 1 else 0.0
-    return Spectrum(
-        freqs=freqs, values=power_to_db(power), mode="analytic", resolution=res
-    )
+    return Spectrum(freqs=freqs, values=power_to_db(power), resolution=res)
 
 
 def _periodic_window(name: str, size: int) -> np.ndarray:
@@ -193,41 +187,22 @@ def welch_psd(
     power = power.T.copy().mean(axis=-1)
     freqs = np.fft.rfftfreq(segment_len, 1.0 / waveform.rate)
     return Spectrum(
-        freqs=freqs,
-        values=power_to_db(power),
-        mode="welch",
-        resolution=float(freqs[1] - freqs[0]),
-        window=window,
-        segment_len=segment_len,
-        overlap=overlap,
+        freqs=freqs, values=power_to_db(power), resolution=float(freqs[1] - freqs[0])
     )
 
 
 @dataclass(frozen=True)
 class NotchReport:
-    """Suppression achieved around the target frequency, test vs baseline.
+    """Suppression achieved around the target frequency, test vs baseline."""
 
-    Fallback and chain-restart counts are copied from the test run's
-    statistics when provided, so a report records how clean the
-    cancellation chains behind it were.
-    """
-
-    fx: float
-    half_band: float
     max_reduction_db: float
     mean_reduction_db: float
     notch_width_hz: float
     threshold_db: float = NOTCH_THRESHOLD_DB
-    fallbacks: int = 0
-    chain_restarts: int = 0
 
 
 def notch_report(
-    test: Spectrum,
-    baseline: Spectrum,
-    fx: float,
-    half_band: float,
-    stats: Optional[RunStats] = None,
+    test: Spectrum, baseline: Spectrum, fx: float, half_band: float
 ) -> NotchReport:
     """Quantify the notch at fx in `test` relative to `baseline`.
 
@@ -261,13 +236,7 @@ def notch_report(
         width = (hi - lo + 1) * test.resolution
 
     return NotchReport(
-        fx=fx,
-        half_band=half_band,
-        max_reduction_db=max_red,
-        mean_reduction_db=mean_red,
-        notch_width_hz=width,
-        fallbacks=stats.total_fallbacks if stats is not None else 0,
-        chain_restarts=stats.total_chain_restarts if stats is not None else 0,
+        max_reduction_db=max_red, mean_reduction_db=mean_red, notch_width_hz=width
     )
 
 
@@ -278,8 +247,3 @@ def band_flatness(spectrum: Spectrum, f_lo: float, f_hi: float) -> tuple[float, 
         raise ValueError(f"no grid bins in [{f_lo}, {f_hi}] Hz")
     vals = spectrum.values[mask]
     return float(np.std(vals)), float(np.max(vals) - np.mean(vals))
-
-
-def rfft_grid(segment_len: int, rate: float) -> np.ndarray:
-    """Positive one-sided FFT frequencies for a segment (DC bin dropped)."""
-    return np.fft.rfftfreq(segment_len, d=1.0 / rate)[1:]

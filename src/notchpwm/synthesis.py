@@ -58,15 +58,14 @@ class PulseTrain:
 
 @dataclass(frozen=True)
 class SampledWaveform:
-    """Uniformly sampled real waveform; sample k sits at start_time + k / rate."""
+    """Uniformly sampled real waveform; sample k sits at k / rate."""
 
     values: np.ndarray
     rate: float
-    start_time: float = 0.0
 
     @property
     def times(self) -> np.ndarray:
-        return self.start_time + np.arange(self.values.size) / self.rate
+        return np.arange(self.values.size) / self.rate
 
 
 def _phase_index(phase: str) -> int:
@@ -180,16 +179,6 @@ def sample(train: PulseTrain, rate: float) -> SampledWaveform:
     )[:n].cumsum()
     levels_ext = np.concatenate(([0.0], train.levels))
     return SampledWaveform(values=levels_ext[edges_seen], rate=rate)
-
-
-def phase_voltages(
-    x_a: np.ndarray, x_b: np.ndarray, x_c: np.ndarray, u_dc: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Load phase voltages of an ideal two-level bridge (isolated star point)."""
-    u_a = u_dc * (2.0 * x_a - x_b - x_c) / 3.0
-    u_b = u_dc * (2.0 * x_b - x_c - x_a) / 3.0
-    u_c = u_dc * (2.0 * x_c - x_a - x_b) / 3.0
-    return u_a, u_b, u_c
 
 
 def line_voltage(x_a: np.ndarray, x_b: np.ndarray, u_dc: float) -> np.ndarray:

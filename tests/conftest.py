@@ -26,7 +26,6 @@ from notchpwm import (
     line_voltage,
     next_freq_sns_rf_rp,
     next_position_sns_rf_rp,
-    next_position_sns_rp,
     pulse_train,
     sample,
     sns_rp_position,
@@ -66,9 +65,10 @@ def chain_sns_rp(variant, n, seed, fx=7000.0, fs=2500.0):
     for m in range(2, n + 1):
         while True:
             d_next = rng.uniform(0.1, 0.9)
-            if k_range_sns_rp(fx, fs, r, d_next, variant=variant, d_prev=d) is not None:
+            kr = k_range_sns_rp(fx, fs, r, d_next, variant=variant, d_prev=d)
+            if kr is not None:
                 break
-        r, _ = next_position_sns_rp(fx, fs, r, d, d_next, variant, rng)
+        r = sns_rp_position(fx, fs, r, d, d_next, variant, rng.randint(*kr))
         d = d_next
         records.append(rec(m, t, ts, d, r))
         t += ts

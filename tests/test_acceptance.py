@@ -76,7 +76,7 @@ def long_run(tag):
         t0 = time.perf_counter()
         result = schedule(SPECS[tag], MOD, DURATION, SEED)
         est = line_psd(result.records, MOD.u_dc, rate=RATE, segment_len=SEG)
-        _CACHE[tag] = (est, result.stats, time.perf_counter() - t0)
+        _CACHE[tag] = (est, time.perf_counter() - t0)
     return _CACHE[tag]
 
 
@@ -86,9 +86,9 @@ def check(num, ok, detail):
 
 
 def test_criterion_01_sns_rp_notch_depth_and_runtime():
-    base, _, t_base = long_run("rp")
-    est, stats, t_test = long_run("sns_rp_fall")
-    rep = notch_report(est, base, FX, 500.0, stats=stats)
+    base, t_base = long_run("rp")
+    est, t_test = long_run("sns_rp_fall")
+    rep = notch_report(est, base, FX, 500.0)
     built = t_base + t_test
     ok = rep.max_reduction_db >= 8.0 and built < 60.0
     check(
@@ -101,9 +101,9 @@ def test_criterion_01_sns_rp_notch_depth_and_runtime():
 
 
 def test_criterion_02_sns_rp_notch_width():
-    base, _, _ = long_run("rp")
-    est, stats, _ = long_run("sns_rp_rise")
-    rep = notch_report(est, base, FX, 500.0, stats=stats)
+    base, _ = long_run("rp")
+    est, _ = long_run("sns_rp_rise")
+    rep = notch_report(est, base, FX, 500.0)
     ok = rep.notch_width_hz >= 500.0
     check(
         2,
@@ -114,9 +114,9 @@ def test_criterion_02_sns_rp_notch_width():
 
 
 def test_criterion_03_sns_rf_rp_notch_depth():
-    base, _, _ = long_run("rf")
-    est, stats, _ = long_run("sns_rf_rp")
-    rep = notch_report(est, base, FX, 500.0, stats=stats)
+    base, _ = long_run("rf")
+    est, _ = long_run("sns_rf_rp")
+    rep = notch_report(est, base, FX, 500.0)
     ok = rep.max_reduction_db >= 6.0
     check(
         3,
@@ -381,7 +381,7 @@ def test_criterion_11_high_frequency_configuration_smoke():
     for name, spec in specs.items():
         result = schedule(spec, mod, 1.0, 1)
         est = line_psd(result.records, mod.u_dc, rate=rate, segment_len=SEG)
-        rep = notch_report(est, base, 15000.0, 500.0, stats=result.stats)
+        rep = notch_report(est, base, 15000.0, 500.0)
         depth[name] = rep.max_reduction_db
     ok = min(depth.values()) >= 6.0
     check(

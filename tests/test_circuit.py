@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from notchpwm import CurrentTrace, LoadParams, rl_current
 
@@ -102,6 +104,30 @@ def test_uniform_resampling_matches_closed_form():
         steady = voltages[j] / 1.02
         want = steady + (knots[j] - steady) * math.exp(-(t - times[j]) / TAU)
         assert val == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize(
+    "t0,t1,ks",
+    [
+        (0.0, 2.5e-6, [0, 1, 2]),
+        (0.9e-6, 3.1e-6, [1, 2, 3]),
+        (0.0, 3e-6, [0, 1, 2]),
+        (1e-6, 1e-6, []),
+    ],
+)
+def test_uniform_grid_keeps_the_last_point_before_the_end(t0, t1, ks):
+    trace = rl_current(np.array([t0, t1]), np.array([1.0]), LOAD, sample_rate=1e6)
+    assert np.array_equal(trace.times, np.array(ks) / 1e6)
+
+
+@given(
+    st.floats(1e-7, 1e-2),
+    st.sampled_from([1e5, 1e6, 1.25e6, 3e6]),
+)
+def test_uniform_grid_covers_the_interval(t1, rate):
+    times = rl_current(np.array([0.0, t1]), np.array([1.0]), LOAD, sample_rate=rate).times
+    assert np.array_equal(times, np.arange(times.size) / rate)
+    assert times[-1] < t1 <= times.size / rate
 
 
 def test_input_validation():

@@ -5,6 +5,7 @@ from dataclasses import MISSING, fields
 
 import pytest
 
+import notchpwm.cli as cli_module
 from notchpwm import (
     CancelMethod,
     ConfigError,
@@ -157,6 +158,8 @@ def test_parse_config_reads_every_field(tmp_path, field):
         dict(sample_rate_hz=2e5),  # below 100 samples per 2500 Hz cycle
         dict(strategy="rf", fs_min_hz=1500.0, fs_max_hz=3500.0, sample_rate_hz=3e5),
         dict(psd_segment_len=65536),  # longer than any 0.04 s run at 1 MHz
+        # parsed only: 3e8 samples per phase at 1 MHz, tens of GB
+        dict(strategy="sns_rp", fx_hz=7000.0, duration_s=300.0),
     ],
 )
 def test_parse_config_rejects_bad_values(tmp_path, mutate):
@@ -178,6 +181,18 @@ def test_segment_filled_only_by_the_last_cycle_is_accepted(tmp_path):
     )
     run_simulate(cfg)
     assert (tmp_path / "out" / "psd.csv").exists()
+
+
+def test_raster_bound_is_on_the_most_samples_a_run_can_take(tmp_path, monkeypatch):
+    sns_rp = dict(strategy="sns_rp", fx_hz=7000.0, psd_segment_len=65536)
+    parse_config(write_config(tmp_path / "bench.cfg", duration_s=2.0, **sns_rp))
+    parse_config(write_config(tmp_path / "20s.cfg", duration_s=20.0, **sns_rp))
+    # a 2 s run at 1 MHz plus one 2500 Hz cycle, plus one
+    monkeypatch.setattr(cli_module, "MAX_SAMPLES", 2_000_401)
+    parse_config(write_config(tmp_path / "at.cfg", duration_s=2.0, **sns_rp))
+    monkeypatch.setattr(cli_module, "MAX_SAMPLES", 2_000_400)
+    with pytest.raises(ConfigError, match="samples per phase"):
+        parse_config(write_config(tmp_path / "over.cfg", duration_s=2.0, **sns_rp))
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,10 @@ phase-only locking and configurations that force fallbacks.
 A second table hashes the `psd.csv` the CLI writes: `simulate` at the
 paper's baseline point and on `rp`, a `compare` overlay, and non-default
 Welch windows, segment lengths and overlaps.  It pins the sampler and the
-Welch estimate bit for bit.
+Welch estimate bit for bit.  A third table hashes the other artifacts of
+the same runs (`waveform.csv`, `current.csv` and `report.txt`; `compare`
+writes only the report), pinning the writers, the load current and the
+notch report.
 
 The digests change only with a deliberate change of scheduling output.
 `python tests/test_golden.py` prints the table for such a change.
@@ -665,8 +668,11 @@ PSD_CASES = {
 }
 
 
-def run_psd_case(tmp_dir, label):
-    """SHA-256 of the psd.csv one CLI command writes."""
+ARTIFACTS = ("psd.csv", "waveform.csv", "current.csv", "report.txt")
+
+
+def run_cli_case(tmp_dir, label):
+    """SHA-256 of each artifact one CLI command writes, by file name."""
     command, overrides = PSD_CASES[label]
     values = dict(
         m_index=0.7,
@@ -681,7 +687,24 @@ def run_psd_case(tmp_dir, label):
     )
     cfg = ScenarioConfig(**{**values, **overrides})
     (run_simulate if command == "simulate" else run_compare)(cfg)
-    return hashlib.sha256((tmp_dir / "psd.csv").read_bytes()).hexdigest()
+    return {
+        name: hashlib.sha256((tmp_dir / name).read_bytes()).hexdigest()
+        for name in ARTIFACTS
+        if (tmp_dir / name).exists()
+    }
+
+
+@pytest.fixture(scope="module")
+def cli_digests(tmp_path_factory):
+    """run_cli_case of a label, run once per module."""
+    cache = {}
+
+    def digests(label):
+        if label not in cache:
+            cache[label] = run_cli_case(tmp_path_factory.mktemp(label), label)
+        return cache[label]
+
+    return digests
 
 
 PSD_GOLDEN = {
@@ -694,8 +717,42 @@ PSD_GOLDEN = {
 
 
 @pytest.mark.parametrize("label", PSD_CASES)
-def test_psd_csv_matches_golden_digest(tmp_path, label):
-    assert run_psd_case(tmp_path, label) == PSD_GOLDEN[label]
+def test_psd_csv_matches_golden_digest(cli_digests, label):
+    assert cli_digests(label)["psd.csv"] == PSD_GOLDEN[label]
+
+
+ARTIFACT_GOLDEN = {
+    "simulate-sns_rp": {
+        "waveform.csv": "5da9cb598e44daefa85a6a1a7fff2e39ba779c6942d6a7c8f4b8212150a233f5",
+        "current.csv": "52ffe0eb607fc104d89e021738af2aa0ef0df55c307f8ffa256a91601c3cd200",
+        "report.txt": "4438dbe3b892cd96a3648e85a6dce202ed708efd87faac0eb271672fd603c042",
+    },
+    "simulate-rp": {
+        "waveform.csv": "f96718e1e900c3ad05215a6230cfd23f9908cbe1e5408682373701c79b28470f",
+        "current.csv": "a11278502f4ab7ccc517f65cc4b375830e81e6da5523beb3c9eafe3e05d31fc3",
+        "report.txt": "cdce93b9c027fa9f2eabb585ae3ae6e2e5de0d7db869aba7cd82af518afe0ffe",
+    },
+    "compare-sns_rp-rp": {
+        "report.txt": "4438dbe3b892cd96a3648e85a6dce202ed708efd87faac0eb271672fd603c042",
+    },
+    "simulate-hamming-4096-0.25": {
+        "waveform.csv": "5da9cb598e44daefa85a6a1a7fff2e39ba779c6942d6a7c8f4b8212150a233f5",
+        "current.csv": "52ffe0eb607fc104d89e021738af2aa0ef0df55c307f8ffa256a91601c3cd200",
+        "report.txt": "b26b3bbc3cc455fd77e5c1a783637d6b4fe97d1097599152d316c5a509651ee8",
+    },
+    "simulate-boxcar-2048-0.75": {
+        "waveform.csv": "f96718e1e900c3ad05215a6230cfd23f9908cbe1e5408682373701c79b28470f",
+        "current.csv": "a11278502f4ab7ccc517f65cc4b375830e81e6da5523beb3c9eafe3e05d31fc3",
+        "report.txt": "bd20be989862aca48f8466b410bfbc2fde5eb29195aa2a55d9adff0faffdc3b4",
+    },
+}
+
+
+@pytest.mark.parametrize("label", PSD_CASES)
+def test_cli_artifacts_match_golden_digest(cli_digests, label):
+    digests = dict(cli_digests(label))
+    del digests["psd.csv"]
+    assert digests == ARTIFACT_GOLDEN[label]
 
 
 if __name__ == "__main__":
@@ -708,7 +765,19 @@ if __name__ == "__main__":
             digest, fallbacks, restarts = run_case(pathlib.Path(tmp), label, m, seed)
             print(f'    "{case}": (\n        "{digest}",\n        {fallbacks},\n        {restarts},\n    ),')
         print("}")
-        print("PSD_GOLDEN = {")
+        cli_runs = {}
         for label in PSD_CASES:
-            print(f'    "{label}": "{run_psd_case(pathlib.Path(tmp), label)}",')
+            out = pathlib.Path(tmp) / label
+            out.mkdir()
+            cli_runs[label] = run_cli_case(out, label)
+        print("PSD_GOLDEN = {")
+        for label, digests in cli_runs.items():
+            print(f'    "{label}": "{digests.pop("psd.csv")}",')
+        print("}")
+        print("ARTIFACT_GOLDEN = {")
+        for label, digests in cli_runs.items():
+            print(f'    "{label}": {{')
+            for name, digest in digests.items():
+                print(f'        "{name}": "{digest}",')
+            print("    },")
         print("}")

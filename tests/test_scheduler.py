@@ -9,7 +9,6 @@ from conftest import brute_k_freq, brute_k_pos, brute_k_sns_rp
 from notchpwm import (
     CancelMethod,
     ConfigError,
-    InfeasibleError,
     ModulatorConfig,
     OutOfBandError,
     PulsePosition,
@@ -26,7 +25,6 @@ from notchpwm import (
     next_csvpwm,
     next_freq_sns_rf_rp,
     next_position_sns_rf_rp,
-    next_position_sns_rp,
     next_rf,
     next_rp,
     schedule,
@@ -147,23 +145,26 @@ def test_position_forced_single_k():
 
 
 def test_next_position_draws_within_range():
-    rng = SeededRng(3)
-    for _ in range(50):
-        r, k = next_position_sns_rp(
-            7000.0, 2500.0, 0.2, 0.0, 0.4, CancelMethod.FALL_AFTER_RISE, rng
-        )
-        assert k in (4, 5)
-        assert r == sns_rp_position(
-            7000.0, 2500.0, 0.2, 0.0, 0.4, CancelMethod.FALL_AFTER_RISE, k
-        )
-        assert 0.0 <= r <= 0.6
-
-
-def test_next_position_infeasible_raises():
-    with pytest.raises(InfeasibleError):
-        next_position_sns_rp(
-            2500.0, 2500.0, 0.05, 0.0, 0.99, CancelMethod.FALL_AFTER_RISE, SeededRng(0)
-        )
+    # schedule()'s lock step draws k from the closed-form range of the
+    # previous cycle and places the pulse by the recursion, snapped into
+    # [0, 1 - d] when outside by roundoff only
+    for method in CancelMethod:
+        spec = spec_for(StrategyKind.SNS_RP, sns_rp_variant=method)
+        res = schedule(spec, MOD, 0.1, 3)
+        offsets = set()
+        for prev, cur in zip(res.records, res.records[1:]):
+            for i in range(3):
+                k = cur.k_used[i]
+                if k is None:
+                    continue
+                d_prev, d, r_prev = prev.duty[i], cur.duty[i], prev.position[i]
+                lo, hi = k_range_sns_rp(7000.0, 2500.0, r_prev, d, method, d_prev)
+                assert lo <= k <= hi
+                offsets.add(k - lo)
+                r = sns_rp_position(7000.0, 2500.0, r_prev, d_prev, d, method, k)
+                assert abs(cur.position[i] - r) <= 1e-9
+                assert cur.position[i] == min(max(r, 0.0), 1.0 - d)
+        assert len(offsets) > 1  # draws spread over the range
 
 
 def test_k_range_matches_brute_force_scan():

@@ -16,7 +16,6 @@ from conftest import chain_rp, chain_sns_rp, loop_edge_times, rec, schedules
 from notchpwm import (
     CancelMethod,
     GridMismatchError,
-    RunStats,
     SampledWaveform,
     Spectrum,
     TooShortError,
@@ -27,14 +26,13 @@ from notchpwm import (
     edge_times,
     notch_report,
     power_to_db,
-    rfft_grid,
     welch_psd,
 )
 
 
 def flat_spectrum(level_db, freqs, resolution=10.0):
     values = np.full(freqs.size, float(level_db))
-    return Spectrum(freqs=freqs, values=values, mode="welch", resolution=resolution)
+    return Spectrum(freqs=freqs, values=values, resolution=resolution)
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +137,6 @@ def test_analytic_psd_matches_transform():
     x = analytic_transform(records, "a", freqs)
     want = power_to_db(np.abs(x) ** 2 * 2.0 / duration)
     assert np.array_equal(spec.values, want)
-    assert spec.mode == "analytic"
     assert spec.resolution == pytest.approx(freqs[1] - freqs[0])
 
 
@@ -241,18 +238,8 @@ def test_import_loads_no_scipy():
 def test_welch_records_its_settings():
     wave = SampledWaveform(values=np.zeros(4096), rate=4096.0)
     spec = welch_psd(wave, 1024, overlap=0.25, window="hamming")
-    assert spec.mode == "welch"
-    assert spec.window == "hamming"
-    assert spec.segment_len == 1024
-    assert spec.overlap == 0.25
+    assert np.array_equal(spec.freqs, np.fft.rfftfreq(1024, d=1.0 / 4096.0))
     assert spec.resolution == pytest.approx(4.0)
-
-
-def test_rfft_grid_drops_dc():
-    grid = rfft_grid(1024, 1e6)
-    want = np.fft.rfftfreq(1024, d=1e-6)[1:]
-    assert np.array_equal(grid, want)
-    assert grid[0] > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +274,7 @@ def test_notch_width_requires_center_bin():
     # a deep island away from fx must not count as the notch
     island = (freqs >= 8000.0) & (freqs <= 8500.0)
     values[island] = -80.0
-    test = Spectrum(freqs=freqs, values=values, mode="welch", resolution=10.0)
+    test = Spectrum(freqs=freqs, values=values, resolution=10.0)
     report = notch_report(test, baseline, 7000.0, 500.0)
     assert report.notch_width_hz == 0.0
     assert report.max_reduction_db == 0.0  # island is outside fx +- 500
@@ -296,20 +283,10 @@ def test_notch_width_requires_center_bin():
     values = np.full(freqs.size, -60.0)
     island = (freqs >= 6800.0) & (freqs <= 7300.0)
     values[island] = -70.0
-    test = Spectrum(freqs=freqs, values=values, mode="welch", resolution=10.0)
+    test = Spectrum(freqs=freqs, values=values, resolution=10.0)
     report = notch_report(test, baseline, 7000.0, 500.0)
     assert report.notch_width_hz == pytest.approx(np.sum(island) * 10.0)
     assert report.max_reduction_db == 10.0
-
-
-def test_notch_report_copies_run_stats():
-    freqs = np.arange(10.0, 20000.0, 10.0)
-    stats = RunStats(cycles=10, fallbacks=[1, 2, 3], chain_restarts=[4, 0, 1])
-    report = notch_report(
-        flat_spectrum(-75.0, freqs), flat_spectrum(-60.0, freqs), 7000.0, 500.0, stats
-    )
-    assert report.fallbacks == 6
-    assert report.chain_restarts == 5
 
 
 def test_notch_report_grid_mismatch():
@@ -330,7 +307,6 @@ def test_band_flatness():
     spec = Spectrum(
         freqs=freqs,
         values=np.array([-10.0, -20.0, -30.0, -99.0]),
-        mode="welch",
         resolution=100.0,
     )
     std_db, peak_to_mean = band_flatness(spec, 100.0, 300.0)

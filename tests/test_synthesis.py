@@ -22,7 +22,6 @@ from notchpwm import (
     StrategySpec,
     edge_times,
     line_voltage,
-    phase_voltages,
     pulse_train,
     sample,
     schedule,
@@ -278,17 +277,31 @@ def test_per_cycle_sampled_mean_matches_duty():
         assert abs(mean - r.duty[0]) <= 2.0 / (1e6 * r.ts)
 
 
+def rp_trains(duration, seed):
+    mod = ModulatorConfig(m_index=0.7, f1=50.0, u_dc=24.0)
+    spec = StrategySpec(kind=StrategyKind.RP, fs=2500.0)
+    res = schedule(spec, mod, duration, seed)
+    return [pulse_train(res.records, p) for p in ("a", "b", "c")]
+
+
 def test_bridge_voltages_worked_example():
-    one = np.array([1.0])
-    zero = np.array([0.0])
-    u_a, u_b, u_c = phase_voltages(one, zero, zero, 24.0)
-    assert (u_a[0], u_b[0], u_c[0]) == (16.0, -8.0, -8.0)
+    # leg a on over [1 ms, 3 ms), legs b and c idle
+    trains = [pulse_train([rec(1, 0.0, 0.004, 0.5, 0.25)], p) for p in "abc"]
+    segments = [voltage_segments(trains, 24.0, phase=p) for p in "abc"]
+    for breaks, _ in segments:
+        assert list(breaks) == [0.0, 0.001, 0.003, 0.004]
+    assert [list(values) for _, values in segments] == [
+        [0.0, 16.0, 0.0],
+        [0.0, -8.0, 0.0],
+        [0.0, -8.0, 0.0],
+    ]
 
 
 def test_bridge_voltages_sum_to_zero():
-    rng = np.random.default_rng(5)
-    x = rng.integers(0, 2, size=(3, 1000)).astype(float)
-    u_a, u_b, u_c = phase_voltages(x[0], x[1], x[2], 24.0)
+    trains = rp_trains(0.02, 5)
+    (breaks, u_a), (_, u_b), (_, u_c) = (
+        voltage_segments(trains, 24.0, phase=p) for p in "abc"
+    )
     assert np.all(u_a + u_b + u_c == 0.0)
 
 
@@ -299,24 +312,24 @@ def test_line_voltage_values():
 
 
 def test_line_voltage_equals_phase_difference():
-    rng = np.random.default_rng(6)
-    x = rng.integers(0, 2, size=(3, 1000)).astype(float)
-    u_a, u_b, _ = phase_voltages(x[0], x[1], x[2], 24.0)
-    assert np.array_equal(line_voltage(x[0], x[1], 24.0), u_a - u_b)
+    trains = rp_trains(0.02, 6)
+    (breaks, u_a), (_, u_b) = (voltage_segments(trains, 24.0, phase=p) for p in "ab")
+    x_a, x_b = (sample(tr, 1e6).values for tr in trains[:2])
+    t = np.arange(x_a.size) / 1e6
+    idx = np.searchsorted(breaks, t, side="right") - 1
+    assert np.array_equal(line_voltage(x_a, x_b, 24.0), (u_a - u_b)[idx])
 
 
 def test_voltage_segments_match_sampled_voltage():
-    mod = ModulatorConfig(m_index=0.7, f1=50.0, u_dc=24.0)
-    spec = StrategySpec(kind=StrategyKind.RP, fs=2500.0)
-    res = schedule(spec, mod, 0.02, 8)
-    trains = [pulse_train(res.records, p) for p in ("a", "b", "c")]
+    trains = rp_trains(0.02, 8)
     breaks, seg_values = voltage_segments(trains, 24.0, phase="a")
     assert breaks[0] == 0.0
     assert breaks[-1] == trains[0].duration
     assert seg_values.size == breaks.size - 1
 
     waves = [sample(tr, 1e6) for tr in trains]
-    u_a, _, _ = phase_voltages(waves[0].values, waves[1].values, waves[2].values, 24.0)
+    x_a, x_b, x_c = (w.values for w in waves)
+    u_a = 24.0 * (2.0 * x_a - x_b - x_c) / 3.0  # the bridge law, as the oracle
     t = waves[0].times
     idx = np.clip(np.searchsorted(breaks, t, side="right") - 1, 0, seg_values.size - 1)
     assert np.array_equal(seg_values[idx], u_a)
