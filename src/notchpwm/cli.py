@@ -72,10 +72,13 @@ MIN_FUNDAMENTAL_PERIODS = 50.0
 # strategy kinds `compare --baseline` accepts
 BASELINE_KINDS = ("rp", "csvpwm", "rf")
 
-# most samples per phase a run may raster: `simulate` peaks near 78 bytes
-# per sample (peak RSS of 1 s and 4 s sns_rp runs at 1 MHz, numpy 2.4), so
-# this keeps a run near 2 GB
-MAX_SAMPLES = 25_000_000
+# most samples per phase a run may raster.  `simulate` peaks near 27
+# bytes per sample of a long run, plus the schedule records (about 0.56 kB
+# per cycle, two schedules during the baseline).  Peak RSS of 49.9 s runs
+# at 1 MHz (numpy 2.4) was 1.36 GB for sns_rp at 2.5 kHz and 1.93 GB for
+# rp at 10 kHz, the most cycles the rate allows, so this keeps a run under
+# about 2 GB
+MAX_SAMPLES = 50_000_000
 
 
 @dataclass
@@ -281,7 +284,14 @@ def baseline_spec(cfg: ScenarioConfig, kind: str) -> StrategySpec:
 
 @dataclass
 class RunArtifacts:
-    """In-memory results of one strategy run."""
+    """In-memory results of one strategy run.
+
+    `samples` (x_a, x_b, x_c) and `u_ab` hold only the export window that
+    waveform.csv writes: the first round(export_window_s * sample_rate_hz)
+    samples of the run, or all of them in a shorter run.  Each is an array
+    of its own, not a view, so the full rasters are freed once the PSD is
+    estimated.
+    """
 
     result: ScheduleResult
     trains: tuple[PulseTrain, PulseTrain, PulseTrain]
@@ -296,20 +306,32 @@ def run_strategy(
     """Schedule, synthesize, sample, and estimate the line-voltage PSD."""
     result = schedule(spec, modcfg, cfg.duration_s, cfg.seed)
     trains = tuple(pulse_train(result.records, p) for p in PHASES)
+    rate = cfg.sample_rate_hz
+    n_export = int(round(cfg.export_window_s * rate))
+
+    def window(values: np.ndarray) -> SampledWaveform:
+        # a copy, since a view would keep the full raster alive
+        return SampledWaveform(values=values[:n_export].copy(), rate=rate)
+
+    # each full raster is rebound to its window right after its last
+    # full-length use, so none outlives the run's Welch estimate
     try:
-        waves = tuple(sample(tr, cfg.sample_rate_hz) for tr in trains)
+        x_a, x_b = (sample(tr, rate).values for tr in trains[:2])
+        u_ab = SampledWaveform(values=line_voltage(x_a, x_b, cfg.u_dc_v), rate=rate)
+        x_a, x_b = window(x_a), window(x_b)
+        x_c = window(sample(trains[2], rate).values)
     except RateTooLowError as exc:
         raise ConfigError(str(exc)) from exc
-    u_ab = SampledWaveform(
-        values=line_voltage(waves[0].values, waves[1].values, cfg.u_dc_v),
-        rate=cfg.sample_rate_hz,
-    )
     try:
         psd = welch_psd(u_ab, cfg.psd_segment_len, cfg.psd_overlap, cfg.psd_window)
     except TooShortError as exc:
         raise ConfigError(str(exc)) from exc
     return RunArtifacts(
-        result=result, trains=trains, samples=waves, u_ab=u_ab, psd=psd
+        result=result,
+        trains=trains,
+        samples=(x_a, x_b, x_c),
+        u_ab=window(u_ab.values),
+        psd=psd,
     )
 
 
@@ -377,16 +399,12 @@ def write_psd_csv(path: Path, psd: Spectrum, baseline: Optional[Spectrum] = None
 def write_waveform_csv(
     path: Path, artifacts: RunArtifacts, cfg: ScenarioConfig
 ) -> None:
-    n = min(
-        int(round(cfg.export_window_s * cfg.sample_rate_hz)),
-        artifacts.u_ab.values.size,
-    )
-    t = np.arange(n) / cfg.sample_rate_hz
-    xa, xb, xc = (w.values[:n] for w in artifacts.samples)
+    t = np.arange(artifacts.u_ab.values.size) / cfg.sample_rate_hz
+    xa, xb, xc = (w.values for w in artifacts.samples)
     _write_columns(
         path,
         "# notchpwm waveform v1\ntime_s,x_a,x_b,x_c,u_ab_v\n",
-        (t, xa, xb, xc, artifacts.u_ab.values[:n]),
+        (t, xa, xb, xc, artifacts.u_ab.values),
     )
 
 
@@ -445,9 +463,11 @@ def _phase_a_current(
     artifacts: RunArtifacts, cfg: ScenarioConfig
 ) -> CurrentTrace:
     breaks, volts = voltage_segments(artifacts.trains, cfg.u_dc_v, "a")
-    # truncate the segment list at the export window, closing the last
-    # partial segment exactly at the window edge
-    t_end = min(cfg.export_window_s, float(breaks[-1]))
+    # truncate the segment list where waveform.csv's samples end, closing
+    # the last partial segment there, so both files share one time column;
+    # a schedule end that rounds up to that count ends the grid itself,
+    # since [0, end) still holds every sample of the run
+    t_end = min(artifacts.u_ab.values.size / cfg.sample_rate_hz, float(breaks[-1]))
     keep = int(np.searchsorted(breaks, t_end, side="left"))
     clipped = np.append(breaks[:keep], t_end)
     load = LoadParams(resistance=cfg.load_r_ohm, inductance=cfg.load_l_h)
@@ -532,15 +552,24 @@ def run_flatness(cfg: ScenarioConfig) -> list[tuple[float, float, float]]:
     being the fixed switching frequency or the band midpoint.  Returns
     and writes (center_hz, std_db, peak_to_mean_db) per window.
     """
-    out, _, artifacts, warnings = _run_configured(cfg)
     if cfg.fs_hz is not None:
         f_center = cfg.fs_hz
     else:
         f_center = 0.5 * (cfg.fs_min_hz + cfg.fs_max_hz)
     half = FLATNESS_HALF_WINDOW_HZ
+    centers = [c * f_center for c in range(1, FLATNESS_MULTIPLES + 1)]
+    # welch_psd's grid, checked with band_flatness's mask before any run
+    grid = np.fft.rfftfreq(cfg.psd_segment_len, 1.0 / cfg.sample_rate_hz)
+    for center in centers:
+        if not np.any((grid >= center - half) & (grid <= center + half)):
+            raise ConfigError(
+                f"flatness window [{center - half}, {center + half}] Hz holds no "
+                f"PSD bin at {grid[1]:g} Hz bin spacing; raise psd_segment_len"
+            )
+    out, _, artifacts, warnings = _run_configured(cfg)
     rows = [
         (center, *band_flatness(artifacts.psd, center - half, center + half))
-        for center in (c * f_center for c in range(1, FLATNESS_MULTIPLES + 1))
+        for center in centers
     ]
     _write_columns(
         out / "flatness.csv",

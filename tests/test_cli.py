@@ -1,6 +1,7 @@
 """Tests for config parsing, artifact writing, and the command line."""
 
 import filecmp
+import tracemalloc
 from dataclasses import MISSING, fields
 
 import pytest
@@ -341,6 +342,109 @@ def test_flatness_windows(tmp_path):
     assert lines[0] == "# notchpwm flatness v1"
     assert lines[1] == "center_hz,std_db,peak_to_mean_db"
     assert len(lines) == 2 + 4
+
+
+def test_flatness_window_without_welch_bins_exits_2(tmp_path, capsys):
+    # 1 MHz / 2048 gives 488 Hz bins, none within 200 Hz of 10 kHz
+    cfg_path = write_config(tmp_path / "run.cfg", psd_segment_len=2048)
+    out = tmp_path / "flat"
+    assert main(["flatness", "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "[9800.0, 10200.0] Hz" in err and "488.281 Hz bin spacing" in err
+    assert "unexpected error" not in err
+    assert not out.exists()  # rejected before any run
+
+
+@pytest.mark.parametrize(
+    "settings",
+    [
+        # the schedule ends at 0.030400000000000028 s, past the last sample
+        dict(duration_s=0.0301, export_window_s=0.1),
+        # it ends at 0.0461725 s, which rounds up to 46173 samples
+        dict(fs_hz=1234.5, duration_s=0.046, export_window_s=0.1),
+        dict(export_window_s=0.0123456),
+    ],
+)
+def test_current_and_waveform_share_one_time_column(tmp_path, settings):
+    cfg_path = write_config(tmp_path / "run.cfg", out_dir=tmp_path / "out", **settings)
+    run_simulate(parse_config(cfg_path))
+    waveform, current = (
+        (tmp_path / "out" / name).read_text().splitlines()[2:]
+        for name in ("waveform.csv", "current.csv")
+    )
+    assert [row.split(",")[0] for row in waveform] == [
+        row.split(",")[0] for row in current
+    ]
+
+
+# ---------------------------------------------------------------------------
+# memory: full rasters live only until the PSD is estimated
+
+SNS_RP_NOTCH = dict(strategy="sns_rp", fx_hz=7000.0)
+
+
+def _recorded(monkeypatch, name):
+    """Wrap cli.<name>, keeping (first argument, return value) per call."""
+    calls = []
+    inner = getattr(cli_module, name)
+
+    def wrapper(*args, **kwargs):
+        result = inner(*args, **kwargs)
+        calls.append((args[0], result))
+        return result
+
+    monkeypatch.setattr(cli_module, name, wrapper)
+    return calls
+
+
+def test_run_artifacts_hold_only_the_export_window(tmp_path, monkeypatch):
+    runs = _recorded(monkeypatch, "run_strategy")
+    cfg = parse_config(
+        write_config(tmp_path / "run.cfg", out_dir=tmp_path / "out", **SNS_RP_NOTCH)
+    )
+    run_simulate(cfg)
+    run_compare(cfg, "csvpwm")
+    assert len(runs) == 4  # each command runs the strategy and a baseline
+    n_export = round(cfg.export_window_s * cfg.sample_rate_hz)
+    for _, artifacts in runs:
+        for wave in (*artifacts.samples, artifacts.u_ab):
+            assert wave.values.size == n_export
+            assert wave.values.base is None  # not a view into a full raster
+
+
+def test_simulate_samples_and_estimates_on_full_rasters(tmp_path, monkeypatch):
+    # the benchmark's traced work counts rest on these calls
+    samples = _recorded(monkeypatch, "sample")
+    estimates = _recorded(monkeypatch, "welch_psd")
+    cfg = parse_config(
+        write_config(tmp_path / "run.cfg", out_dir=tmp_path / "out", **SNS_RP_NOTCH)
+    )
+    run_simulate(cfg)
+    n_full = samples[0][1].values.size
+    assert n_full >= cfg.duration_s * cfg.sample_rate_hz
+    assert [wave.values.size for _, wave in samples] == [n_full] * 6
+    assert [waveform.values.size for waveform, _ in estimates] == [n_full] * 2
+
+
+def test_simulate_peak_memory_per_sample(tmp_path):
+    cfg = parse_config(
+        write_config(
+            tmp_path / "run.cfg",
+            duration_s=1.0,
+            psd_segment_len=65536,
+            export_window_s=0.1,
+            out_dir=tmp_path / "out",
+            **SNS_RP_NOTCH,
+        )
+    )
+    tracemalloc.start()
+    try:
+        run_simulate(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # keeping the main run's full rasters through its baseline gives 85
+    assert peak / (cfg.duration_s * cfg.sample_rate_hz) <= 48.0
 
 
 def test_main_exit_codes_and_overrides(tmp_path):
