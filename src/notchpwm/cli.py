@@ -25,7 +25,7 @@ import sys
 from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 from pathlib import Path
-from typing import Optional, Sequence, TextIO, get_type_hints
+from typing import Iterable, Optional, Sequence, TextIO, get_type_hints
 
 import numpy as np
 
@@ -72,10 +72,10 @@ MIN_FUNDAMENTAL_PERIODS = 50.0
 # strategy kinds `compare --baseline` accepts
 BASELINE_KINDS = ("rp", "csvpwm", "rf")
 
-# most samples per phase a run may raster.  `simulate` peaks near 27
+# most samples per phase a run may raster.  `simulate` peaks near 19
 # bytes per sample of a long run, plus the schedule records (about 0.56 kB
 # per cycle, two schedules during the baseline).  Peak RSS of 49.9 s runs
-# at 1 MHz (numpy 2.4) was 1.36 GB for sns_rp at 2.5 kHz and 1.93 GB for
+# at 1 MHz (numpy 2.4) was 0.98 GB for sns_rp at 2.5 kHz and 1.55 GB for
 # rp at 10 kHz, the most cycles the rate allows, so this keeps a run under
 # about 2 GB
 MAX_SAMPLES = 50_000_000
@@ -290,7 +290,8 @@ class RunArtifacts:
     waveform.csv writes: the first round(export_window_s * sample_rate_hz)
     samples of the run, or all of them in a shorter run.  Each is an array
     of its own, not a view, so the full rasters are freed once the PSD is
-    estimated.
+    estimated.  While a run is sampled, at most two full rasters (8 bytes
+    per sample each) are alive: u_ab is formed in x_a's raster.
     """
 
     result: ScheduleResult
@@ -314,11 +315,16 @@ def run_strategy(
         return SampledWaveform(values=values[:n_export].copy(), rate=rate)
 
     # each full raster is rebound to its window right after its last
-    # full-length use, so none outlives the run's Welch estimate
+    # full-length use, so none outlives the run's Welch estimate; u_ab is
+    # written over x_a's raster once x_a's window is copied out, so at
+    # most two full rasters are alive at once
     try:
         x_a, x_b = (sample(tr, rate).values for tr in trains[:2])
-        u_ab = SampledWaveform(values=line_voltage(x_a, x_b, cfg.u_dc_v), rate=rate)
-        x_a, x_b = window(x_a), window(x_b)
+        u_ab, x_a = x_a, window(x_a)
+        u_ab = SampledWaveform(
+            values=line_voltage(u_ab, x_b, cfg.u_dc_v, out=u_ab), rate=rate
+        )
+        x_b = window(x_b)
         x_c = window(sample(trains[2], rate).values)
     except RateTooLowError as exc:
         raise ConfigError(str(exc)) from exc
@@ -378,10 +384,20 @@ def write_cycles_csv(path: Path, records: Sequence[CycleRecord]) -> None:
             fh.write(",".join(map(_fmt, cells)) + "\n")
 
 
-def _write_columns(path: Path, header: str, columns: Sequence[np.ndarray]) -> None:
-    """Write float columns as CSV rows of repr values under a header."""
-    rows = zip(*(map(repr, np.asarray(col, dtype=float).tolist()) for col in columns))
-    body = "\n".join(map(",".join, rows))
+def _column_text(values) -> list[str]:
+    """repr of each float64 value, formatting each distinct bit pattern once.
+
+    Keying on bits, not values, keeps -0.0 apart from 0.0.
+    """
+    values = np.ascontiguousarray(values, dtype=float)
+    bits, index = np.unique(values.view(np.uint64), return_inverse=True)
+    text = np.array(list(map(repr, bits.view(float).tolist())), dtype=object)
+    return text[index].tolist()
+
+
+def _write_columns(path: Path, header: str, columns: Iterable[list[str]]) -> None:
+    """Write equal-length `_column_text` columns as CSV rows under a header."""
+    body = "\n".join(map(",".join, zip(*columns, strict=True)))
     with _open_out(path) as fh:
         fh.write(header + body + "\n" if body else header)
 
@@ -393,24 +409,25 @@ def write_psd_csv(path: Path, psd: Spectrum, baseline: Optional[Spectrum] = None
     else:
         header = "# notchpwm psd v1\nfreq_hz,psd_db_hz,psd_baseline_db_hz\n"
         columns = (psd.freqs, psd.values, baseline.values)
-    _write_columns(path, header, columns)
+    _write_columns(path, header, map(_column_text, columns))
 
 
-def write_waveform_csv(
-    path: Path, artifacts: RunArtifacts, cfg: ScenarioConfig
-) -> None:
-    t = np.arange(artifacts.u_ab.values.size) / cfg.sample_rate_hz
-    xa, xb, xc = (w.values for w in artifacts.samples)
+def write_waveform_csv(path: Path, artifacts: RunArtifacts, time_text: list[str]) -> None:
+    """waveform.csv of the export window; `time_text` is its time column."""
+    waves = (*artifacts.samples, artifacts.u_ab)
     _write_columns(
         path,
         "# notchpwm waveform v1\ntime_s,x_a,x_b,x_c,u_ab_v\n",
-        (t, xa, xb, xc, artifacts.u_ab.values),
+        (time_text, *(_column_text(w.values) for w in waves)),
     )
 
 
-def write_current_csv(path: Path, trace: CurrentTrace) -> None:
+def write_current_csv(path: Path, trace: CurrentTrace, time_text: list[str]) -> None:
+    """current.csv; `time_text` is `trace.times` through `_column_text`."""
     _write_columns(
-        path, "# notchpwm current v1\ntime_s,i_a_amps\n", (trace.times, trace.values)
+        path,
+        "# notchpwm current v1\ntime_s,i_a_amps\n",
+        (time_text, _column_text(trace.values)),
     )
 
 
@@ -520,8 +537,11 @@ def run_simulate(cfg: ScenarioConfig) -> Optional[NotchReport]:
 
     write_cycles_csv(out / "cycles.csv", artifacts.result.records)
     write_psd_csv(out / "psd.csv", artifacts.psd)
-    write_waveform_csv(out / "waveform.csv", artifacts, cfg)
-    write_current_csv(out / "current.csv", _phase_a_current(artifacts, cfg))
+    # waveform.csv and current.csv share one time column: format it once
+    n_export = artifacts.u_ab.values.size
+    time_text = _column_text(np.arange(n_export) / cfg.sample_rate_hz)
+    write_waveform_csv(out / "waveform.csv", artifacts, time_text)
+    write_current_csv(out / "current.csv", _phase_a_current(artifacts, cfg), time_text)
     write_report(
         out / "report.txt",
         _report_entries(cfg, artifacts, warnings, report, baseline_name),
@@ -574,7 +594,7 @@ def run_flatness(cfg: ScenarioConfig) -> list[tuple[float, float, float]]:
     _write_columns(
         out / "flatness.csv",
         "# notchpwm flatness v1\ncenter_hz,std_db,peak_to_mean_db\n",
-        tuple(zip(*rows)),
+        map(_column_text, zip(*rows)),
     )
     write_report(
         out / "report.txt",

@@ -176,15 +176,16 @@ def welch_psd(
     win = win * (1.0 / np.sqrt(np.cumsum(win**2)[-1] / (1.0 / waveform.rate)))
     n_seg = (n - noverlap) // hop
     segments = sliding_window_view(waveform.values, segment_len)[: n_seg * hop : hop]
-    power = np.empty((n_seg, segment_len // 2 + 1))
-    for row, seg in zip(power, segments):
+    # one column per segment, so each bin's powers lie contiguous in its
+    # row and the mean over them is numpy's pairwise sum
+    power = np.empty((segment_len // 2 + 1, n_seg))
+    for s, seg in enumerate(segments):
         if detrend:
             seg = seg - seg.mean()
         spec = np.fft.rfft(seg * win)
-        np.add(spec.real**2, spec.imag**2, out=row)
-    power[:, 1:-1] *= 2.0
-    # average each bin over contiguous memory, so the sum is pairwise
-    power = power.T.copy().mean(axis=-1)
+        np.add(spec.real**2, spec.imag**2, out=power[:, s])
+    power[1:-1] *= 2.0
+    power = power.mean(axis=-1)
     freqs = np.fft.rfftfreq(segment_len, 1.0 / waveform.rate)
     return Spectrum(
         freqs=freqs, values=power_to_db(power), resolution=float(freqs[1] - freqs[0])

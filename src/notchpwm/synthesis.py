@@ -158,7 +158,9 @@ def sample(train: PulseTrain, rate: float) -> SampledWaveform:
 
     Samples lie at k / rate for k = 0 .. n - 1, where n = round(duration *
     rate) is the nearest integer (ties to even).  An edge falling exactly
-    on a sample instant takes effect at that sample.
+    on a sample instant takes effect at that sample.  Raises ValueError
+    naming the first edge that does not follow its predecessor, since the
+    edges must strictly increase.
     """
     if rate <= 0.0:
         raise ValueError(f"sample rate must be positive, got {rate}")
@@ -167,23 +169,38 @@ def sample(train: PulseTrain, rate: float) -> SampledWaveform:
             f"rate {rate:g} Hz gives fewer than {MIN_SAMPLES_PER_CYCLE:g} samples "
             f"per cycle at {train.max_switching_freq:g} Hz switching"
         )
+    times = train.times
+    unordered = np.flatnonzero(~(times[1:] > times[:-1]))
+    if unordered.size:
+        i = int(unordered[0]) + 1
+        raise ValueError(
+            f"edges must strictly increase: edge {i} at {float(times[i])!r} s "
+            f"does not follow edge {i - 1} at {float(times[i - 1])!r} s"
+        )
     n = int(round(train.duration * rate))
     # first sample at or after each edge; k / rate is the float the sample
     # grid holds, so the product's rounding is corrected against it
-    first = np.ceil(train.times * rate)
-    first -= (first - 1.0) / rate >= train.times
-    first += first / rate < train.times
-    # sample k holds the level of the last edge at or before it
-    edges_seen = np.bincount(
-        np.clip(first, 0, n).astype(np.intp), minlength=n + 1
-    )[:n].cumsum()
+    first = np.ceil(times * rate)
+    first -= (first - 1.0) / rate >= times
+    first += first / rate < times
+    # level j holds from the first sample at or after edge j to the next
+    # edge's; ordered edges make every run length nonnegative
+    runs = np.diff(np.clip(first, 0, n).astype(np.intp), prepend=0, append=n)
     levels_ext = np.concatenate(([0.0], train.levels))
-    return SampledWaveform(values=levels_ext[edges_seen], rate=rate)
+    return SampledWaveform(values=np.repeat(levels_ext, runs), rate=rate)
 
 
-def line_voltage(x_a: np.ndarray, x_b: np.ndarray, u_dc: float) -> np.ndarray:
-    """Line-to-line voltage between two legs."""
-    return u_dc * (np.asarray(x_a) - np.asarray(x_b))
+def line_voltage(
+    x_a: np.ndarray, x_b: np.ndarray, u_dc: float, *, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Line-to-line voltage between two legs.
+
+    With `out` (which may be x_a or x_b itself) the result is written
+    there and no other array is allocated.
+    """
+    out = np.subtract(x_a, x_b, out=out, dtype=float)
+    out *= u_dc
+    return out
 
 
 def voltage_segments(

@@ -3,8 +3,9 @@
 Synthetic single-phase schedules exercising the lock recursions outside the
 full scheduler, plus brute-force integer scans used as oracles for the
 closed-form k ranges, record-by-record versions of `edge_times` and
-`pulse_train` used as oracles, and Hypothesis strategies for well-formed
-and malformed schedules.
+`pulse_train` used as oracles, earlier whole-array versions of `sample`,
+`welch_psd` and the CSV column writer used as exact oracles, and
+Hypothesis strategies for well-formed and malformed schedules.
 """
 
 from dataclasses import replace
@@ -31,6 +32,7 @@ from notchpwm import (
     sns_rp_position,
     welch_psd,
 )
+from notchpwm.spectrum import _periodic_window, power_to_db
 from notchpwm.synthesis import _MERGE_TOL, _REL_TOL
 
 K_SCAN = range(-100, 101)
@@ -237,6 +239,59 @@ def loop_pulse_train(records, phase):
         levels[2 * i] = 1.0
         levels[2 * i + 1] = 0.0
     return PulseTrain(phase, times, levels, prev_end, 1.0 / min_ts)
+
+
+# ---------------------------------------------------------------------------
+# raster and writer oracles
+
+
+def bincount_sample(train, rate):
+    """Oracle: `sample` by counting the edges at or before each sample."""
+    n = int(round(train.duration * rate))
+    first = np.ceil(train.times * rate)
+    first -= (first - 1.0) / rate >= train.times
+    first += first / rate < train.times
+    edges_seen = np.bincount(
+        np.clip(first, 0, n).astype(np.intp), minlength=n + 1
+    )[:n].cumsum()
+    levels_ext = np.concatenate(([0.0], train.levels))
+    return levels_ext[edges_seen]
+
+
+def transpose_welch(waveform, segment_len, overlap=0.5, window="hann", detrend="constant"):
+    """Oracle: `welch_psd` values from a (segment, bin) power table.
+
+    The table is averaged through a transposed copy, which lays each bin's
+    powers out contiguously as the pairwise mean needs them.
+    """
+    n = waveform.values.size
+    noverlap = int(overlap * segment_len)
+    hop = segment_len - noverlap
+    win = _periodic_window(window, segment_len)
+    win = win * (1.0 / np.sqrt(np.cumsum(win**2)[-1] / (1.0 / waveform.rate)))
+    n_seg = (n - noverlap) // hop
+    power = np.empty((n_seg, segment_len // 2 + 1))
+    for s in range(n_seg):
+        seg = waveform.values[s * hop : s * hop + segment_len]
+        if detrend:
+            seg = seg - seg.mean()
+        spec = np.fft.rfft(seg * win)
+        np.add(spec.real**2, spec.imag**2, out=power[s])
+    power[:, 1:-1] *= 2.0
+    return power_to_db(power.T.copy().mean(axis=-1))
+
+
+def repr_columns(header, columns):
+    """Oracle: CSV text of float columns with one `repr` call per cell."""
+    rows = zip(*(map(repr, np.asarray(col, dtype=float).tolist()) for col in columns))
+    body = "\n".join(map(",".join, rows))
+    return header + body + "\n" if body else header
+
+
+def same_bits(a, b):
+    """True when two float64 arrays hold the same bit patterns."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,14 @@ import filecmp
 import tracemalloc
 from dataclasses import MISSING, fields
 
+import hypothesis
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import notchpwm.cli as cli_module
+from conftest import repr_columns
 from notchpwm import (
     CancelMethod,
     ConfigError,
@@ -365,9 +370,19 @@ def test_flatness_window_without_welch_bins_exits_2(tmp_path, capsys):
         dict(export_window_s=0.0123456),
     ],
 )
-def test_current_and_waveform_share_one_time_column(tmp_path, settings):
+def test_current_and_waveform_share_one_time_column(tmp_path, monkeypatch, settings):
+    written = []
+    write_current = cli_module.write_current_csv
+
+    def check_current(path, trace, time_text):
+        # the shared column is what the current grid's own times format to
+        written.append(cli_module._column_text(trace.times) == time_text)
+        write_current(path, trace, time_text)
+
+    monkeypatch.setattr(cli_module, "write_current_csv", check_current)
     cfg_path = write_config(tmp_path / "run.cfg", out_dir=tmp_path / "out", **settings)
     run_simulate(parse_config(cfg_path))
+    assert written == [True]
     waveform, current = (
         (tmp_path / "out" / name).read_text().splitlines()[2:]
         for name in ("waveform.csv", "current.csv")
@@ -375,6 +390,36 @@ def test_current_and_waveform_share_one_time_column(tmp_path, settings):
     assert [row.split(",")[0] for row in waveform] == [
         row.split(",")[0] for row in current
     ]
+
+
+# any float64 bit pattern, with the special values drawn often
+_specials = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.2250738585072e-308, 1.0, 24.0]
+_bits = st.integers(0, 2**64 - 1) | st.sampled_from(
+    np.array(_specials).view(np.uint64).tolist() + [0x7FF8000000000001, 0xFFF8000000000000]
+)
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 40).flatmap(
+        lambda n: st.lists(
+            st.lists(_bits, min_size=n, max_size=n),
+            min_size=1,
+            max_size=4,
+        )
+    )
+)
+def test_write_columns_matches_repr_per_cell(tmp_path_factory, columns):
+    columns = [np.array(col, dtype=np.uint64).view(float) for col in columns]
+    path = tmp_path_factory.getbasetemp() / "columns.csv"
+    header = "# columns\n"
+    cli_module._write_columns(path, header, map(cli_module._column_text, columns))
+    assert path.read_bytes() == repr_columns(header, columns).encode()
+
+
+def test_write_columns_rejects_unequal_columns(tmp_path):
+    with pytest.raises(ValueError):
+        cli_module._write_columns(tmp_path / "c.csv", "", [["1.0", "2.0"], ["3.0"]])
 
 
 # ---------------------------------------------------------------------------

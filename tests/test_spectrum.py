@@ -4,15 +4,25 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import notchpwm
-from conftest import chain_rp, chain_sns_rp, loop_edge_times, rec, schedules
+from conftest import (
+    chain_rp,
+    chain_sns_rp,
+    loop_edge_times,
+    rec,
+    same_bits,
+    schedules,
+    transpose_welch,
+)
 from notchpwm import (
     CancelMethod,
     GridMismatchError,
@@ -28,6 +38,7 @@ from notchpwm import (
     power_to_db,
     welch_psd,
 )
+from notchpwm.spectrum import WELCH_WINDOWS
 
 
 def flat_spectrum(level_db, freqs, resolution=10.0):
@@ -212,6 +223,43 @@ def test_welch_matches_scipy(window, overlap, detrend, n):
     # a relative power difference of 1e-12 is 4.3e-12 dB
     tol_db = 10.0 * math.log10(1.0 + 1e-12)
     assert np.max(np.abs(spec.values - power_to_db(power))) <= tol_db
+
+
+@st.composite
+def welch_cases(draw):
+    """A finite waveform with a segment length, overlap and settings it admits."""
+    n = draw(st.integers(2, 3000))
+    values = draw(arrays(np.float64, n, elements=st.floats(-1e6, 1e6)))
+    segment_len = 2 ** draw(st.integers(1, n.bit_length() - 1))
+    settings_ = dict(
+        overlap=draw(st.floats(0.0, 1.0, exclude_max=True)),
+        window=draw(st.sampled_from(WELCH_WINDOWS)),
+        detrend=draw(st.sampled_from(("constant", False))),
+    )
+    rate = draw(st.floats(1.0, 1e7))
+    return SampledWaveform(values=values, rate=rate), segment_len, settings_
+
+
+@settings(max_examples=200, deadline=None)
+@given(welch_cases())
+def test_welch_matches_transpose_oracle(case):
+    wave, segment_len, settings_ = case
+    got = welch_psd(wave, segment_len, **settings_).values
+    assert same_bits(got, transpose_welch(wave, segment_len, **settings_))
+
+
+def test_welch_peak_memory_per_input_sample():
+    rng = np.random.default_rng(8)
+    wave = SampledWaveform(values=24.0 * rng.integers(-1, 2, 1_000_000), rate=1e6)
+    tracemalloc.start()
+    try:
+        welch_psd(wave, 65536)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one 8-byte power per sample and bin-sized scratch; averaging the
+    # power table through a transposed copy of it peaks at about 17
+    assert peak / wave.values.size <= 12.0
 
 
 def test_welch_rejects_unknown_window_and_detrend():

@@ -1,16 +1,21 @@
 """Tests for pulse-train synthesis and ideal bridge voltages."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import (
+    bincount_sample,
     chain_rp,
     loop_edge_times,
     loop_pulse_train,
     malformed_schedules,
     rec,
+    same_bits,
     schedules,
 )
 from notchpwm import (
@@ -258,6 +263,63 @@ def test_sample_matches_searchsorted_on_merged_pulses(rate, per_cycle, cycles):
     assert np.array_equal(sample(train, rate).values, searchsorted_sample(train, rate))
 
 
+# any float64 level, NaN and signed zeros included
+_levels = st.floats(allow_nan=True, allow_infinity=True, width=64)
+
+
+@st.composite
+def free_trains(draw):
+    """Strictly increasing edges anywhere around a run, at any rate."""
+    rate = draw(st.floats(1.0, 2e6))
+    duration = draw(st.floats(0.0, 4000.0 / rate))
+    times = draw(st.lists(st.floats(-duration, 2.0 * duration + 1.0), unique=True))
+    levels = draw(st.lists(_levels, min_size=len(times), max_size=len(times)))
+    train = PulseTrain("a", np.array(sorted(times)), np.array(levels), duration, 0.0)
+    return train, rate
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_trains() | free_trains())
+def test_sample_matches_bincount_oracle(case):
+    train, rate = case
+    wave = sample(train, rate)
+    assert same_bits(wave.values, bincount_sample(train, rate))
+    assert wave.values.flags.c_contiguous and wave.values.base is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(-1.0, 1.0) | st.just(float("nan")), min_size=2, max_size=8))
+@example([1e-3, 2e-3, 2e-3, 1e-3])
+def test_sample_names_the_first_unordered_edge(times):
+    train = PulseTrain("a", np.array(times), np.ones(len(times)), 1.0, 0.0)
+    bad = [i for i in range(1, len(times)) if not times[i] > times[i - 1]]
+    if not bad:
+        assert sample(train, 1e3).values.size == 1000
+        return
+    i = bad[0]
+    with pytest.raises(ValueError) as err:
+        sample(train, 1e3)
+    assert str(err.value) == (
+        f"edges must strictly increase: edge {i} at {times[i]!r} s "
+        f"does not follow edge {i - 1} at {times[i - 1]!r} s"
+    )
+
+
+def test_sample_peak_memory_per_sample():
+    mod = ModulatorConfig(m_index=0.7, f1=50.0, u_dc=24.0)
+    spec = StrategySpec(kind=StrategyKind.SNS_RP, fs=2500.0, fx=7000.0)
+    train = pulse_train(schedule(spec, mod, 1.0, 0).records, "a")
+    tracemalloc.start()
+    try:
+        wave = sample(train, 1e6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the 8-byte samples themselves, plus per-edge work; counting the
+    # edges at or before each sample with bincount and cumsum peaks at 16
+    assert peak / wave.values.size <= 9.0
+
+
 def test_sample_rate_guard():
     train = pulse_train([rec(1, 0.0, 4e-4, 0.5, 0.25)], "a")
     with pytest.raises(RateTooLowError):
@@ -309,6 +371,22 @@ def test_line_voltage_values():
     x_a = np.array([1.0, 0.0, 1.0, 0.0])
     x_b = np.array([0.0, 1.0, 1.0, 0.0])
     assert list(line_voltage(x_a, x_b, 24.0)) == [24.0, -24.0, 0.0, 0.0]
+
+
+@given(
+    st.integers(0, 64).flatmap(
+        lambda n: st.tuples(*(arrays(np.float64, n, elements=_levels) for _ in "ab"))
+    ),
+    st.floats(width=64),
+    st.sampled_from((0, 1)),
+)
+def test_line_voltage_in_place_matches_fresh(legs, u_dc, into):
+    out = legs[into]
+    with np.errstate(invalid="ignore", over="ignore"):
+        fresh = line_voltage(*legs, u_dc)
+        assert same_bits(fresh, u_dc * (legs[0] - legs[1]))
+        assert line_voltage(*legs, u_dc, out=out) is out
+    assert same_bits(out, fresh)
 
 
 def test_line_voltage_equals_phase_difference():
