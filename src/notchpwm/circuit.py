@@ -72,13 +72,14 @@ def rl_current(
     spans = np.diff(times)
     decay = np.exp(-spans / tau)
 
-    # current at every segment boundary
-    knots = np.empty(times.size)
-    knots[0] = load.initial_current
+    # current at every segment boundary, recurred over Python floats, which
+    # round as numpy's float64 scalars do but index far faster
     i = load.initial_current
-    for j in range(voltages.size):
-        i = steady[j] + (i - steady[j]) * decay[j]
-        knots[j + 1] = i
+    knots = [i]
+    for u, g in zip(steady.tolist(), decay.tolist()):
+        i = u + (i - u) * g
+        knots.append(i)
+    knots = np.array(knots, dtype=float)
 
     if sample_rate is None:
         return CurrentTrace(times=times, values=knots)

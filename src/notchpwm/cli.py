@@ -37,6 +37,7 @@ from .scheduler import (
     ConfigError,
     CycleRecord,
     PulsePosition,
+    Schedule,
     ScheduleResult,
     SnsRfRpVariant,
     StrategyKind,
@@ -73,11 +74,10 @@ MIN_FUNDAMENTAL_PERIODS = 50.0
 BASELINE_KINDS = ("rp", "csvpwm", "rf")
 
 # most samples per phase a run may raster.  `simulate` peaks near 19
-# bytes per sample of a long run, plus the schedule records (about 0.56 kB
-# per cycle, two schedules during the baseline).  Peak RSS of 49.9 s runs
-# at 1 MHz (numpy 2.4) was 0.98 GB for sns_rp at 2.5 kHz and 1.55 GB for
-# rp at 10 kHz, the most cycles the rate allows, so this keeps a run under
-# about 2 GB
+# bytes per sample of a long run, plus the schedules (99 B per cycle,
+# two schedules during the baseline).  Peak RSS of 49.9 s runs at 1 MHz
+# (numpy 2.4) was 0.85 GB for sns_rp at 2.5 kHz and 0.99 GB for rp at
+# 10 kHz, the most cycles the rate allows, so this keeps a run near 1 GB
 MAX_SAMPLES = 50_000_000
 
 
@@ -371,19 +371,6 @@ def _open_out(path: Path) -> TextIO:
     return open(path, "w", newline="\n")
 
 
-def write_cycles_csv(path: Path, records: Sequence[CycleRecord]) -> None:
-    with _open_out(path) as fh:
-        fh.write("# notchpwm cycles v1\n")
-        fh.write(
-            "m,t_m_s,ts_s,sector,d_a,d_b,d_c,r_a,r_b,r_c,"
-            "k_a,k_b,k_c,fallback_a,fallback_b,fallback_c\n"
-        )
-        for rec in records:
-            cells = (rec.m, rec.t_m, rec.ts, rec.sector, *rec.duty, *rec.position)
-            cells += (*rec.k_used, *rec.fallback)
-            fh.write(",".join(map(_fmt, cells)) + "\n")
-
-
 def _column_text(values) -> list[str]:
     """repr of each float64 value, formatting each distinct bit pattern once.
 
@@ -400,6 +387,25 @@ def _write_columns(path: Path, header: str, columns: Iterable[list[str]]) -> Non
     body = "\n".join(map(",".join, zip(*columns, strict=True)))
     with _open_out(path) as fh:
         fh.write(header + body + "\n" if body else header)
+
+
+def write_cycles_csv(path: Path, records: Sequence[CycleRecord]) -> None:
+    """cycles.csv, one row per cycle; k is empty where no lock was drawn."""
+    cycles = Schedule.from_records(records)
+    _write_columns(
+        path,
+        "# notchpwm cycles v1\n"
+        "m,t_m_s,ts_s,sector,d_a,d_b,d_c,r_a,r_b,r_c,"
+        "k_a,k_b,k_c,fallback_a,fallback_b,fallback_c\n",
+        (
+            list(map(str, range(1, len(cycles) + 1))),
+            *map(_column_text, (cycles.t_m, cycles.ts)),
+            list(map(str, cycles.sector.tolist())),
+            *map(_column_text, (*cycles.duty.T, *cycles.position.T)),
+            *(["" if k < 0 else str(k) for k in ks] for ks in cycles.k.T.tolist()),
+            *([_fmt(f) for f in flags] for flags in cycles.fallback.T.tolist()),
+        ),
+    )
 
 
 def write_psd_csv(path: Path, psd: Spectrum, baseline: Optional[Spectrum] = None) -> None:

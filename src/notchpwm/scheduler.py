@@ -40,10 +40,15 @@ All randomness flows through `SeededRng`; a run is a pure function of
 from __future__ import annotations
 
 import math
+import operator
 import random
+from array import array
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Optional
+
+import numpy as np
 
 from .modulator import (
     DutyTriple,
@@ -59,8 +64,9 @@ PHASES = ("a", "b", "c")
 # a bug rather than roundoff
 _BOUND_TOL = 1e-9
 
-# most cycles one schedule() call may generate: each CycleRecord costs
-# about 0.6 kB and 10 us, so this bounds a run near 0.6 GB and 10 s
+# most cycles one schedule() call may generate: a cycle's columns hold
+# 99 B (about 0.2 kB at the peak of building them) and take 5 to 14 us,
+# so this bounds a run near 0.1 GB and 14 s
 MAX_CYCLES = 1_000_000
 
 
@@ -189,6 +195,105 @@ class CycleRecord:
     fallback: tuple[bool, bool, bool]
 
 
+@dataclass(frozen=True, eq=False)
+class Schedule(Sequence[CycleRecord]):
+    """A run's switching cycles as read-only columns, one row per cycle.
+
+    Row i is cycle m = i + 1.  t_m, ts and sector have one value per
+    cycle; duty, position, k and fallback have one column per phase
+    (shape (n, 3)).  k holds the lock integer, or -1 where k_used is None.
+    As a Sequence the schedule yields CycleRecords, built on access, and
+    it compares equal to any sequence of equal records.
+    """
+
+    t_m: np.ndarray
+    ts: np.ndarray
+    sector: np.ndarray
+    duty: np.ndarray
+    position: np.ndarray
+    k: np.ndarray
+    fallback: np.ndarray
+
+    def __post_init__(self) -> None:
+        n = self.t_m.shape
+        shapes = [col.shape for col in self._arrays()]
+        if len(n) != 1 or shapes != 3 * [n] + 4 * [n + (3,)]:
+            raise ValueError(f"column shapes {shapes} do not agree")
+        for col in self._arrays():
+            col.flags.writeable = False
+
+    def _arrays(self) -> tuple[np.ndarray, ...]:
+        return (self.t_m, self.ts, self.sector, self.duty, self.position, self.k, self.fallback)
+
+    @classmethod
+    def from_records(cls, records: Sequence[CycleRecord]) -> Schedule:
+        """The columns of a record sequence; a Schedule is returned as is.
+
+        Each record's m is taken to be its row + 1.  Raises ValueError for a
+        negative lock integer, which the -1 of k could not tell from None.
+        """
+        if isinstance(records, Schedule):
+            return records
+        n = len(records)
+        k_used = [k for rec in records for k in rec.k_used]
+        if any(k is not None and k < 0 for k in k_used):
+            raise ValueError("lock integers k_used must be nonnegative")
+
+        def scalars(name, dtype):
+            return np.fromiter(map(operator.attrgetter(name), records), dtype=dtype, count=n)
+
+        def triples(values, dtype):
+            return np.fromiter(values, dtype=dtype, count=3 * n).reshape(n, 3)
+
+        return cls(
+            t_m=scalars("t_m", float),
+            ts=scalars("ts", float),
+            sector=scalars("sector", np.int64),
+            duty=triples((d for rec in records for d in rec.duty), float),
+            position=triples((r for rec in records for r in rec.position), float),
+            k=triples((-1 if k is None else k for k in k_used), np.int64),
+            fallback=triples((f for rec in records for f in rec.fallback), bool),
+        )
+
+    def __len__(self) -> int:
+        return self.t_m.size
+
+    def _records(self, rows: slice) -> Iterator[CycleRecord]:
+        ms = range(*rows.indices(len(self)))
+        for m, t_m, ts, sector, duty, position, ks, fallback in zip(
+            ms, *(col[rows].tolist() for col in self._arrays())
+        ):
+            yield CycleRecord(
+                m=m + 1,
+                t_m=t_m,
+                ts=ts,
+                sector=sector,
+                duty=tuple(duty),
+                position=tuple(position),
+                k_used=tuple(None if k < 0 else k for k in ks),
+                fallback=tuple(fallback),
+            )
+
+    def __getitem__(self, index):
+        """The record of one row, or a list of the records of a slice."""
+        if isinstance(index, slice):
+            return list(self._records(index))
+        n = len(self)
+        i = operator.index(index)
+        if not -n <= i < n:
+            raise IndexError(f"cycle index {index} out of range for {n} cycles")
+        i %= n
+        return next(self._records(slice(i, i + 1)))
+
+    def __iter__(self) -> Iterator[CycleRecord]:
+        return self._records(slice(None))
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+
 @dataclass
 class RunStats:
     cycles: int = 0
@@ -207,7 +312,7 @@ class RunStats:
 
 @dataclass
 class ScheduleResult:
-    records: list[CycleRecord]
+    records: Schedule
     stats: RunStats
 
 
@@ -526,7 +631,11 @@ def schedule(
             )
 
     rng = SeededRng(seed)
-    records: list[CycleRecord] = []
+    # per-cycle values go to typed lists, made into the Schedule's arrays
+    # once the run is complete
+    t_col, ts_col, duty_col, pos_col = (array("d") for _ in range(4))
+    sector_col, k_col = array("q"), array("q")
+    fb_col = array("B")
 
     # a phase's lock chain is its previous cycle, alive when that held a pulse
     r_prev: Sequence[float] = (0.0, 0.0, 0.0)
@@ -603,7 +712,7 @@ def schedule(
         sec = sector_of(theta)
         duty = duty_cycles(modcfg, theta)
         pos = [0.5, 0.5, 0.5]  # a zero-duty leg of a solved kind stays here
-        kk: list[Optional[int]] = [None, None, None]
+        kk = [-1, -1, -1]
         fb = [False, False, False]
 
         # --- switching frequency of this cycle ---
@@ -635,22 +744,26 @@ def schedule(
                     pos[i] = rng.uniform(0.0, 1.0 - d)
 
         ts = 1.0 / fs_next
-        records.append(
-            CycleRecord(
-                m=m,
-                t_m=t,
-                ts=ts,
-                sector=sec,
-                duty=(duty[0], duty[1], duty[2]),
-                position=(pos[0], pos[1], pos[2]),
-                k_used=(kk[0], kk[1], kk[2]),
-                fallback=(fb[0], fb[1], fb[2]),
-            )
-        )
+        t_col.append(t)
+        ts_col.append(ts)
+        sector_col.append(sec)
+        duty_col.extend(duty)
+        pos_col.extend(pos)
+        k_col.extend(kk)
+        fb_col.extend(fb)
         r_prev, d_prev, fs_prev = pos, duty, fs_next
         t = t + ts
 
     stats.cycles = m
+    records = Schedule(
+        t_m=np.array(t_col),
+        ts=np.array(ts_col),
+        sector=np.array(sector_col),
+        duty=np.array(duty_col).reshape(m, 3),
+        position=np.array(pos_col).reshape(m, 3),
+        k=np.array(k_col).reshape(m, 3),
+        fallback=np.array(fb_col, dtype=bool).reshape(m, 3),
+    )
     return ScheduleResult(records=records, stats=stats)
 
 

@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .scheduler import CycleRecord
+from .scheduler import CycleRecord, Schedule
 from .synthesis import SampledWaveform, edge_times
 
 # minimum power kept when converting to dB; 10*log10 of it is -200 dB/Hz
@@ -119,8 +119,9 @@ def analytic_psd(
     which matches a one-sided periodogram density of the same waveform.
     """
     freqs = np.asarray(freqs, dtype=float)
+    records = Schedule.from_records(records)
     x = analytic_transform(records, phase, freqs)
-    duration = records[-1].t_m + records[-1].ts if records else 0.0
+    duration = float(records.t_m[-1] + records.ts[-1]) if records else 0.0
     if duration <= 0.0:
         raise ValueError("empty schedule has no spectrum")
     power = (np.abs(x) ** 2) * 2.0 / duration

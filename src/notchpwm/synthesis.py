@@ -15,12 +15,11 @@ model can integrate without sampling error.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter, itemgetter
 from typing import Sequence
 
 import numpy as np
 
-from .scheduler import PHASES, CycleRecord
+from .scheduler import PHASES, CycleRecord, Schedule
 
 # adjacent fall/rise pairs closer than this are treated as one continuous
 # on-interval; well above edge-time roundoff, well below one sample period
@@ -76,14 +75,13 @@ def _phase_index(phase: str) -> int:
 
 
 def _columns(records: Sequence[CycleRecord], p: int) -> tuple[np.ndarray, ...]:
-    """t_m, ts, duty[p] and position[p] of every record as float64 arrays."""
-    t_m, ts, duty, position = (
-        map(attrgetter(name), records) for name in ("t_m", "ts", "duty", "position")
-    )
-    return tuple(
-        np.fromiter(values, dtype=float, count=len(records))
-        for values in (t_m, ts, map(itemgetter(p), duty), map(itemgetter(p), position))
-    )
+    """t_m, ts, duty[p] and position[p] of every cycle as float64 arrays.
+
+    A Schedule's columns are read as they are; any other record sequence
+    is made into a Schedule first.
+    """
+    cycles = Schedule.from_records(records)
+    return cycles.t_m, cycles.ts, cycles.duty[:, p], cycles.position[:, p]
 
 
 def _edges(t_m, ts, duty, position) -> tuple[np.ndarray, np.ndarray]:
@@ -160,7 +158,8 @@ def sample(train: PulseTrain, rate: float) -> SampledWaveform:
     rate) is the nearest integer (ties to even).  An edge falling exactly
     on a sample instant takes effect at that sample.  Raises ValueError
     naming the first edge that does not follow its predecessor, since the
-    edges must strictly increase.
+    edges must strictly increase, or else the first edge that is not
+    finite (a lone NaN edge has no predecessor to fail against).
     """
     if rate <= 0.0:
         raise ValueError(f"sample rate must be positive, got {rate}")
@@ -177,6 +176,10 @@ def sample(train: PulseTrain, rate: float) -> SampledWaveform:
             f"edges must strictly increase: edge {i} at {float(times[i])!r} s "
             f"does not follow edge {i - 1} at {float(times[i - 1])!r} s"
         )
+    infinite = np.flatnonzero(~np.isfinite(times))
+    if infinite.size:
+        i = int(infinite[0])
+        raise ValueError(f"edge {i} at {float(times[i])!r} s is not finite")
     n = int(round(train.duration * rate))
     # first sample at or after each edge; k / rate is the float the sample
     # grid holds, so the product's rounding is corrected against it

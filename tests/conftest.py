@@ -4,8 +4,9 @@ Synthetic single-phase schedules exercising the lock recursions outside the
 full scheduler, plus brute-force integer scans used as oracles for the
 closed-form k ranges, record-by-record versions of `edge_times` and
 `pulse_train` used as oracles, earlier whole-array versions of `sample`,
-`welch_psd` and the CSV column writer used as exact oracles, and
-Hypothesis strategies for well-formed and malformed schedules.
+`welch_psd` and the CSV column writer and the indexed knot loop of
+`rl_current` used as exact oracles, and Hypothesis strategies for
+well-formed and malformed schedules.
 """
 
 from dataclasses import replace
@@ -281,6 +282,19 @@ def transpose_welch(waveform, segment_len, overlap=0.5, window="hann", detrend="
     return power_to_db(power.T.copy().mean(axis=-1))
 
 
+def indexed_rl_knots(times, voltages, load):
+    """Oracle: `rl_current`'s boundary currents, indexing numpy scalars."""
+    steady = voltages / load.resistance
+    decay = np.exp(-np.diff(times) / load.tau)
+    knots = np.empty(times.size)
+    knots[0] = load.initial_current
+    i = load.initial_current
+    for j in range(voltages.size):
+        i = steady[j] + (i - steady[j]) * decay[j]
+        knots[j + 1] = i
+    return knots
+
+
 def repr_columns(header, columns):
     """Oracle: CSV text of float columns with one `repr` call per cell."""
     rows = zip(*(map(repr, np.asarray(col, dtype=float).tolist()) for col in columns))
@@ -312,8 +326,8 @@ def _leg(d, where):
     return d, (0.0, -_REL_TOL, 1.0 - d, 1.0 - d + _REL_TOL)[where]
 
 
-# zero, tiny, full or drawn duties
-_duties = st.sampled_from((0.0, 1.0, 5e-324, 1e-300, 1e-15, _REL_TOL)) | st.floats(0.0, 1.0)
+# zero of either sign, tiny, full or drawn duties
+_duties = st.sampled_from((0.0, -0.0, 1.0, 5e-324, 1e-300, 1e-15, _REL_TOL)) | st.floats(0.0, 1.0)
 _legs = st.builds(_leg, _duties, st.integers(0, 3) | st.floats(0.0, 1.0))
 _periods = st.sampled_from(PERIODS) | st.floats(1e-5, 1e-2)
 
@@ -341,8 +355,22 @@ def _tiled(t, cycles):
 def schedules(max_cycles=12):
     """Contiguous cycles of mixed periods, tiled as `schedule` tiles them."""
     cycles = st.tuples(_periods, _legs, _legs, _legs)
-    starts = st.sampled_from((0.0, 0.5, 123.456))
+    starts = st.sampled_from((0.0, -0.0, 0.5, 123.456))
     return st.builds(_tiled, starts, st.lists(cycles, min_size=1, max_size=max_cycles))
+
+
+@st.composite
+def bookkept_schedules(draw):
+    """`schedules` with drawn sectors, lock integers (or None) and fallback flags."""
+    return [
+        replace(
+            rec,
+            sector=draw(st.integers(1, 6)),
+            k_used=draw(st.tuples(*3 * [st.none() | st.integers(0, 2**40)])),
+            fallback=draw(st.tuples(*3 * [st.booleans()])),
+        )
+        for rec in draw(schedules())
+    ]
 
 
 def _faults(rec, p):

@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from conftest import indexed_rl_knots, same_bits
 from notchpwm import CurrentTrace, LoadParams, rl_current
 
 LOAD = LoadParams(resistance=1.02, inductance=0.59e-3)
@@ -37,6 +39,22 @@ def test_zero_voltage_decay():
     trace = rl_current(times, np.zeros(3), load)
     want = 2.0 * np.exp(-times / TAU)
     assert trace.values == pytest.approx(want, rel=1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    arrays(float, st.integers(0, 60), elements=st.floats(0.0, 1e-3)),
+    st.data(),
+    st.floats(1e-3, 10.0),
+    st.floats(1e-6, 1e-2),
+    st.floats(-50.0, 50.0) | st.integers(-5, 5),
+)
+def test_knots_match_indexed_loop(spans, data, resistance, inductance, initial):
+    times = np.concatenate(([1e-3], 1e-3 + np.cumsum(spans)))
+    voltages = data.draw(arrays(float, spans.size, elements=st.floats(-100.0, 100.0)))
+    load = LoadParams(resistance, inductance, initial_current=initial)
+    knots = rl_current(times, voltages, load).values
+    assert same_bits(knots, indexed_rl_knots(times, voltages, load))
 
 
 def test_step_response_asymptote():

@@ -1,17 +1,24 @@
 """Tests for strategy scheduling: step operations, lock ranges, full runs."""
 
 import math
+import tracemalloc
+from dataclasses import replace
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import notchpwm.scheduler as scheduler_module
-from conftest import brute_k_freq, brute_k_pos, brute_k_sns_rp
+from conftest import bookkept_schedules, brute_k_freq, brute_k_pos, brute_k_sns_rp
 from notchpwm import (
     CancelMethod,
     ConfigError,
     ModulatorConfig,
     OutOfBandError,
     PulsePosition,
+    Schedule,
     SeededRng,
     SnsRfRpVariant,
     StrategyKind,
@@ -677,3 +684,113 @@ def test_chain_property_fixed_position_front_per_cycle_law():
     assert_chain_locked(
         res.records, 7000.0, (0,), CancelMethod.RISE_AFTER_FALL, k_from_prev=True
     )
+
+
+# ---------------------------------------------------------------------------
+# columnar schedules
+
+
+@settings(max_examples=150, deadline=None)
+@given(bookkept_schedules())
+def test_schedule_round_trips_records_exactly(records):
+    cycles = Schedule.from_records(records)
+    # repr tells -0.0 from 0.0 and a numpy scalar from a Python number
+    want = repr(records)
+    assert repr(list(cycles)) == want
+    assert repr(cycles[:]) == want
+    assert repr([cycles[i] for i in range(-len(cycles), 0)]) == want
+    assert repr(cycles[::-2]) == repr(records[::-2])
+    assert Schedule.from_records(cycles) is cycles
+    for i in (len(cycles), -len(cycles) - 1):
+        with pytest.raises(IndexError):
+            cycles[i]
+    with pytest.raises(ValueError):
+        cycles.t_m[0] = 1.0
+
+
+def schedule_variants(records, i):
+    """Record sequences equal to records, shorter, longer or one cycle off."""
+    flipped = replace(records[i], fallback=tuple(not f for f in records[i].fallback))
+    return (
+        records,
+        tuple(records),
+        records[:-1],
+        records + records[-1:],
+        records[:i] + [flipped] + records[i + 1 :],
+        [],
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(bookkept_schedules(), st.data())
+def test_schedule_equality_agrees_with_record_lists(records, data):
+    cycles = Schedule.from_records(records)
+    i = data.draw(st.integers(0, len(records) - 1))
+    for other in schedule_variants(records, i):
+        want = records == list(other)
+        for lhs, rhs in ((cycles, other), (other, cycles)):
+            assert (lhs == rhs) is want
+            assert (lhs != rhs) is not want
+        assert (cycles == Schedule.from_records(other)) is want
+
+
+def test_empty_schedule_equality():
+    empty = Schedule.from_records([])
+    assert empty == [] and [] == empty and empty == ()
+    assert not empty != [] and not [] != empty
+    assert empty != [None] and [None] != empty
+    assert empty != 0 and empty != "" and empty is not None
+
+
+def test_from_records_rejects_negative_lock_integers():
+    rec = schedule(spec_for(StrategyKind.SNS_RP), MOD, 4e-4, 0).records[0]
+    with pytest.raises(ValueError, match="nonnegative"):
+        Schedule.from_records([replace(rec, k_used=(None, -1, None))])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(ALL_SPECS),
+    st.sampled_from((0.3, 0.7, 0.95)),
+    st.sampled_from((900.0, 7000.0, 15000.0)),
+    st.integers(0, 2**32),
+)
+def test_scheduled_lock_integers_are_nonnegative(spec, m_index, fx, seed):
+    draws = []
+    randint = SeededRng.randint
+
+    def recorded(self, lo, hi):
+        draws.append(randint(self, lo, hi))
+        return draws[-1]
+
+    mod = ModulatorConfig(m_index=m_index, f1=50.0, u_dc=24.0)
+    with mock.patch.object(SeededRng, "randint", recorded):
+        k = schedule(replace(spec, fx=fx), mod, 0.02, seed).records.k
+    # every lock integer is drawn, nonnegative, and stored in draw order,
+    # so -1 can stand for a phase without one
+    assert all(d >= 0 for d in draws)
+    assert k[k != -1].tolist() == draws
+
+
+def test_schedule_builds_no_records():
+    def refuse(**_fields):
+        raise AssertionError("schedule() built a CycleRecord")
+
+    with mock.patch.object(scheduler_module, "CycleRecord", refuse):
+        for spec in ALL_SPECS:
+            assert len(schedule(spec, MOD, 0.05, 3).records) > 0
+
+
+def test_schedule_result_bytes_per_cycle():
+    spec = spec_for(StrategyKind.SNS_RP)
+    schedule(spec, MOD, 0.01, 0)
+    tracemalloc.start()
+    try:
+        result = schedule(spec, MOD, 2.0, 0)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(result.records) == 5001
+    # the columns take 99 B per cycle (13 eight-byte values, 3 flags)
+    assert held / len(result.records) <= 150.0
+    assert isinstance(result.records.k, np.ndarray)

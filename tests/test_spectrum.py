@@ -27,6 +27,7 @@ from notchpwm import (
     CancelMethod,
     GridMismatchError,
     SampledWaveform,
+    Schedule,
     Spectrum,
     TooShortError,
     analytic_psd,
@@ -130,9 +131,9 @@ def loop_cancellation_residual(records, phase, fx):
 )
 @example(chain_sns_rp(CancelMethod.FALL_AFTER_RISE, 200, seed=3), "a", 7000.0)
 def test_cancellation_residual_matches_record_loop(records, phase, fx):
-    assert cancellation_residual(records, phase, fx) == loop_cancellation_residual(
-        records, phase, fx
-    )
+    want = loop_cancellation_residual(records, phase, fx)
+    assert cancellation_residual(records, phase, fx) == want
+    assert cancellation_residual(Schedule.from_records(records), phase, fx) == want
 
 
 def test_unlocked_chain_residual_grows():

@@ -1,6 +1,8 @@
 """Tests for pulse-train synthesis and ideal bridge voltages."""
 
+import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from notchpwm import (
     ModulatorConfig,
     PulseTrain,
     RateTooLowError,
+    Schedule,
     StrategyKind,
     StrategySpec,
     edge_times,
@@ -168,6 +171,16 @@ def test_edge_times_match_record_loop(records, phase):
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
+@settings(max_examples=150, deadline=None)
+@given(schedules() | malformed_schedules(), st.sampled_from("abc"))
+def test_schedule_columns_give_the_trains_records_give(records, phase):
+    cycles = Schedule.from_records(records)
+    want = train_outcome(pulse_train, records, phase)
+    assert_same_train(train_outcome(pulse_train, cycles, phase), want)
+    for got, want in zip(edge_times(cycles, phase), edge_times(records, phase)):
+        assert same_bits(got, want)
+
+
 def test_sample_count_and_levels():
     train = pulse_train([rec(1, 0.0, 0.004, 0.5, 0.25)], "a")
     wave = sample(train, 1e6)
@@ -303,6 +316,26 @@ def test_sample_names_the_first_unordered_edge(times):
         f"edges must strictly increase: edge {i} at {times[i]!r} s "
         f"does not follow edge {i - 1} at {times[i - 1]!r} s"
     )
+
+
+@pytest.mark.parametrize(
+    "times, i",
+    [
+        ([math.nan], 0),
+        ([1e-3, math.nan], 1),
+        ([math.inf], 0),
+        ([-math.inf], 0),
+        ([1e-3, math.inf], 1),
+        ([-math.inf, 1e-3, math.inf], 0),
+    ],
+)
+def test_sample_names_the_first_nonfinite_edge(times, i):
+    train = PulseTrain("a", np.array(times), np.ones(len(times)), 1.0, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as err:
+            sample(train, 1e3)
+    assert f"edge {i} at {times[i]!r} s" in str(err.value)
 
 
 def test_sample_peak_memory_per_sample():
