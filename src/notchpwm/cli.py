@@ -371,6 +371,10 @@ def _open_out(path: Path) -> TextIO:
     return open(path, "w", newline="\n")
 
 
+# rows of CSV text that `_write_columns` formats and writes at a time
+_WRITE_BLOCK_ROWS = 1 << 12
+
+
 def _column_text(values) -> list[str]:
     """repr of each float64 value, formatting each distinct bit pattern once.
 
@@ -382,11 +386,26 @@ def _column_text(values) -> list[str]:
     return text[index].tolist()
 
 
-def _write_columns(path: Path, header: str, columns: Iterable[list[str]]) -> None:
-    """Write equal-length `_column_text` columns as CSV rows under a header."""
-    body = "\n".join(map(",".join, zip(*columns, strict=True)))
+def _write_columns(path: Path, header: str, columns: Iterable) -> None:
+    """Write equal-length columns as CSV rows under a header.
+
+    A column is a float array, which `_column_text` formats, or the list
+    of its cells' text.  Rows are formatted and written _WRITE_BLOCK_ROWS
+    at a time, so the text of the whole file is never held at once.
+    """
+    columns = list(columns)
+    lengths = sorted({len(col) for col in columns})
+    if len(lengths) > 1:
+        raise ValueError(f"columns have unequal lengths {lengths}")
     with _open_out(path) as fh:
-        fh.write(header + body + "\n" if body else header)
+        fh.write(header)
+        for lo in range(0, lengths[0] if lengths else 0, _WRITE_BLOCK_ROWS):
+            rows = slice(lo, lo + _WRITE_BLOCK_ROWS)
+            cells = [
+                _column_text(col[rows]) if isinstance(col, np.ndarray) else col[rows]
+                for col in columns
+            ]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def write_cycles_csv(path: Path, records: Sequence[CycleRecord]) -> None:
@@ -399,9 +418,11 @@ def write_cycles_csv(path: Path, records: Sequence[CycleRecord]) -> None:
         "k_a,k_b,k_c,fallback_a,fallback_b,fallback_c\n",
         (
             list(map(str, range(1, len(cycles) + 1))),
-            *map(_column_text, (cycles.t_m, cycles.ts)),
+            cycles.t_m,
+            cycles.ts,
             list(map(str, cycles.sector.tolist())),
-            *map(_column_text, (*cycles.duty.T, *cycles.position.T)),
+            *cycles.duty.T,
+            *cycles.position.T,
             *(["" if k < 0 else str(k) for k in ks] for ks in cycles.k.T.tolist()),
             *([_fmt(f) for f in flags] for flags in cycles.fallback.T.tolist()),
         ),
@@ -415,7 +436,7 @@ def write_psd_csv(path: Path, psd: Spectrum, baseline: Optional[Spectrum] = None
     else:
         header = "# notchpwm psd v1\nfreq_hz,psd_db_hz,psd_baseline_db_hz\n"
         columns = (psd.freqs, psd.values, baseline.values)
-    _write_columns(path, header, map(_column_text, columns))
+    _write_columns(path, header, columns)
 
 
 def write_waveform_csv(path: Path, artifacts: RunArtifacts, time_text: list[str]) -> None:
@@ -424,7 +445,7 @@ def write_waveform_csv(path: Path, artifacts: RunArtifacts, time_text: list[str]
     _write_columns(
         path,
         "# notchpwm waveform v1\ntime_s,x_a,x_b,x_c,u_ab_v\n",
-        (time_text, *(_column_text(w.values) for w in waves)),
+        (time_text, *(w.values for w in waves)),
     )
 
 
@@ -433,7 +454,7 @@ def write_current_csv(path: Path, trace: CurrentTrace, time_text: list[str]) -> 
     _write_columns(
         path,
         "# notchpwm current v1\ntime_s,i_a_amps\n",
-        (time_text, _column_text(trace.values)),
+        (time_text, trace.values),
     )
 
 

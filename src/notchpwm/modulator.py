@@ -66,16 +66,6 @@ def angle_at(cfg: ModulatorConfig, t: float) -> float:
     return math.fmod(TWO_PI * cfg.f1 * t, TWO_PI)
 
 
-def _clamp01(x: float) -> float:
-    # sector-edge roundoff can leave values like -1e-17; the laws are
-    # nonnegative inside their own sector, so snap into [0, 1]
-    if x < 0.0:
-        return 0.0
-    if x > 1.0:
-        return 1.0
-    return x
-
-
 def _sector_duties(m: float, theta: float, sector: int) -> tuple[float, float, float]:
     """Raw (unclamped) duty laws of a given sector evaluated at theta.
 
@@ -96,4 +86,10 @@ def duty_cycles(cfg: ModulatorConfig, theta: float) -> DutyTriple:
     component lies in [0, m_index].
     """
     d_a, d_b, d_c = _sector_duties(cfg.m_index, theta, sector_of(theta))
-    return DutyTriple(_clamp01(d_a), _clamp01(d_b), _clamp01(d_c))
+    # sector-edge roundoff can leave values like -1e-17; the laws are
+    # nonnegative inside their own sector, so snap into [0, 1]
+    return DutyTriple(
+        0.0 if d_a < 0.0 else 1.0 if d_a > 1.0 else d_a,
+        0.0 if d_b < 0.0 else 1.0 if d_b > 1.0 else d_b,
+        0.0 if d_c < 0.0 else 1.0 if d_c > 1.0 else d_c,
+    )

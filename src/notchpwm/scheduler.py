@@ -42,7 +42,6 @@ from __future__ import annotations
 import math
 import operator
 import random
-from array import array
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
@@ -65,9 +64,13 @@ PHASES = ("a", "b", "c")
 _BOUND_TOL = 1e-9
 
 # most cycles one schedule() call may generate: a cycle's columns hold
-# 99 B (about 0.2 kB at the peak of building them) and take 5 to 14 us,
-# so this bounds a run near 0.1 GB and 14 s
+# 99 B (about 0.2 kB at the peak of building them) and take 3 to 10 us,
+# so this bounds a run near 0.1 GB and 10 s
 MAX_CYCLES = 1_000_000
+
+# cycles schedule() keeps in plain lists before moving them into arrays
+# (about 0.4 MB of Python objects)
+_FLUSH_CYCLES = 1024
 
 
 class ConfigError(ValueError):
@@ -328,7 +331,12 @@ def next_csvpwm(duty_next: Sequence[float]) -> tuple[float, float, float]:
 
 def next_rp(duty_next: Sequence[float], rng: SeededRng) -> tuple[float, float, float]:
     """Positions drawn uniformly from [0, 1 - D], independently per phase."""
-    return tuple(rng.uniform(0.0, 1.0 - d) for d in duty_next)  # type: ignore[return-value]
+    d_a, d_b, d_c = duty_next
+    return (
+        rng.uniform(0.0, 1.0 - d_a),
+        rng.uniform(0.0, 1.0 - d_b),
+        rng.uniform(0.0, 1.0 - d_c),
+    )
 
 
 def next_rf(fs_min: float, fs_max: float, rng: SeededRng) -> float:
@@ -508,6 +516,13 @@ def next_position_sns_rf_rp(
 # ---------------------------------------------------------------------------
 # fixed-position frequency laws
 
+# where a fixed pulse starts, as a share of its cycle's off time 1 - d
+_FIXED_POSITION_SHARE = {
+    PulsePosition.FRONT: 0.0,
+    PulsePosition.CENTER: 0.5,
+    PulsePosition.BACK: 1.0,
+}
+
 # Each (method, position) pair reduces to fs_next = N / (a*k - C) with the
 # coefficients below; a*k - C > 0 on the admissible branch, so fs_next is
 # strictly decreasing in k and the in-band k set is an integer interval.
@@ -621,6 +636,8 @@ def schedule(
         and strategy.sns_rf_rp_variant is SnsRfRpVariant.FREQ_FROM_POSITION
     )
     locked = (0,) if strategy.reference_phase_only else (0, 1, 2)
+    solved = range(1 if freq_locked else 0, 3)
+    centered = kind is StrategyKind.CSVPWM or kind is StrategyKind.RF
 
     if kind is StrategyKind.SNS_RP:
         limit = feasibility_min_fx(strategy.sns_rp_variant, fs, 0.0, modcfg.m_index)
@@ -631,11 +648,20 @@ def schedule(
             )
 
     rng = SeededRng(seed)
-    # per-cycle values go to typed lists, made into the Schedule's arrays
-    # once the run is complete
-    t_col, ts_col, duty_col, pos_col = (array("d") for _ in range(4))
-    sector_col, k_col = array("q"), array("q")
-    fb_col = array("B")
+    uniform, randint = rng.uniform, rng.randint
+    # per-cycle values go to plain lists, the cheapest to append to, and
+    # move into arrays every _FLUSH_CYCLES cycles, so a run does not keep
+    # a Python object per value alive; the arrays are joined at the end
+    cols = t_col, ts_col, sector_col, duty_col, pos_col, k_col, fb_col = tuple(
+        [] for _ in range(7)
+    )
+    blocks = []
+
+    def flush():
+        dtypes = (float, float, np.int64, float, float, np.int64, bool)
+        blocks.append([np.array(col, dtype) for col, dtype in zip(cols, dtypes)])
+        for col in cols:
+            col.clear()
 
     # a phase's lock chain is its previous cycle, alive when that held a pulse
     r_prev: Sequence[float] = (0.0, 0.0, 0.0)
@@ -675,6 +701,7 @@ def schedule(
 
     elif kind is StrategyKind.FIXED_POS:
         position, method = strategy.fixed_position, strategy.cancel_method
+        share = _FIXED_POSITION_SHARE[position]
 
         def freq_k_range(i, d):
             return fixed_position_k_range(
@@ -695,13 +722,13 @@ def schedule(
         if d_prev[i] <= 0.0:
             if m > 1:
                 stats.chain_restarts[i] += 1
-            return rng.uniform(lo, hi)
+            return uniform(lo, hi)
         kr = k_range(i, d)
         if kr is None:
             stats.fallbacks[i] += 1
             fb[i] = True
-            return rng.uniform(lo, hi)
-        k = kk[i] = rng.randint(*kr)
+            return uniform(lo, hi)
+        k = kk[i] = randint(*kr)
         return solve(i, d, k)
 
     t = 0.0
@@ -721,55 +748,44 @@ def schedule(
             fs_next = fs
         elif freq_locked and d_a > 0.0:
             if kind is StrategyKind.SNS_RF_RP:
-                pos[0] = rng.uniform(0.0, 1.0 - d_a)
+                pos[0] = uniform(0.0, 1.0 - d_a)
             fs_next = lock(0, d_a, fs_min, fs_max, freq_k_range, freq_solve)
         else:
             fs_next = next_rf(fs_min, fs_max, rng)
 
         # --- pulse positions of this cycle ---
-        if kind is StrategyKind.CSVPWM or kind is StrategyKind.RF:
+        if centered:
             pos = next_csvpwm(duty)
         elif kind is StrategyKind.RP:
             pos = next_rp(duty, rng)
         elif kind is StrategyKind.FIXED_POS:
-            pos = [_fixed_position_value(position, d) for d in duty]
+            pos = [share * (1.0 - d) for d in duty]
         else:  # SNS kinds
-            for i in range(1 if freq_locked else 0, 3):
+            for i in solved:
                 d = duty[i]
                 if d <= 0.0:
                     continue
                 if i in locked:
                     pos[i] = lock(i, d, 0.0, 1.0 - d, pos_k_range, pos_solve)
                 else:
-                    pos[i] = rng.uniform(0.0, 1.0 - d)
+                    pos[i] = uniform(0.0, 1.0 - d)
 
         ts = 1.0 / fs_next
         t_col.append(t)
         ts_col.append(ts)
         sector_col.append(sec)
-        duty_col.extend(duty)
-        pos_col.extend(pos)
-        k_col.extend(kk)
-        fb_col.extend(fb)
+        duty_col += duty
+        pos_col += pos
+        k_col += kk
+        fb_col += fb
         r_prev, d_prev, fs_prev = pos, duty, fs_next
         t = t + ts
+        if m % _FLUSH_CYCLES == 0:
+            flush()
 
+    flush()
     stats.cycles = m
-    records = Schedule(
-        t_m=np.array(t_col),
-        ts=np.array(ts_col),
-        sector=np.array(sector_col),
-        duty=np.array(duty_col).reshape(m, 3),
-        position=np.array(pos_col).reshape(m, 3),
-        k=np.array(k_col).reshape(m, 3),
-        fallback=np.array(fb_col, dtype=bool).reshape(m, 3),
-    )
+    t_m, ts_all, sector, *per_phase = map(np.concatenate, zip(*blocks))
+    records = Schedule(t_m, ts_all, sector, *(col.reshape(m, 3) for col in per_phase))
     return ScheduleResult(records=records, stats=stats)
 
-
-def _fixed_position_value(position: PulsePosition, d: float) -> float:
-    if position is PulsePosition.FRONT:
-        return 0.0
-    if position is PulsePosition.CENTER:
-        return (1.0 - d) / 2.0
-    return 1.0 - d

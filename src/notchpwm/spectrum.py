@@ -11,6 +11,13 @@ frequency to cancel pairwise; `cancellation_residual` measures the
 magnitude of the surviving edge sum, which telescopes to at most 2 for an
 unbroken locked chain regardless of its length.
 
+The edge sums are evaluated directly, one complex exponential per edge
+and bin.  Bins are taken a block at a time into one reused buffer of
+about 1 MB, so working memory does not grow with the grid, and each
+bin's full row of edge phasors is summed at once: numpy's pairwise sum
+then runs the same tree for any block size, and the result is
+bit-identical to evaluating the whole grid in one temporary.
+
 Estimated spectra use Welch's method (Welch, IEEE Trans. Audio
 Electroacoust. 15(2), 1967) on uniformly sampled waveforms.  It is
 computed in numpy with the operations of `scipy.signal.welch` (scipy
@@ -37,7 +44,9 @@ _POWER_FLOOR = 1e-20
 # toward the notch width
 NOTCH_THRESHOLD_DB = 6.0
 
-_FREQ_CHUNK = 256
+# complex values in the phasor block `_edge_sum` evaluates at a time
+# (1 MB, so a block stays in a core's L2 cache)
+_EDGE_BLOCK_BUDGET = 1 << 16
 
 # cosine-sum coefficients of the Welch windows: w = sum_k a_k cos(k x)
 _COSINE_WINDOWS = {"hann": (0.5, 0.5), "hamming": (0.54, 1.0 - 0.54), "boxcar": (1.0,)}
@@ -69,14 +78,24 @@ def power_to_db(power: np.ndarray) -> np.ndarray:
 def _edge_sum(rises: np.ndarray, falls: np.ndarray, freqs: np.ndarray) -> np.ndarray:
     """sum_m exp(-j 2 pi f b_m) - sum_m exp(-j 2 pi f a_m) at each f.
 
-    Work is chunked over frequency to bound memory.
+    The phasors are evaluated for a block of bins at a time, in one buffer
+    of about _EDGE_BLOCK_BUDGET values that rises and falls share.  Each
+    bin's whole edge row is summed at once, so numpy's pairwise sum, and
+    with it every bit of the result, does not depend on the block size.
     """
-    out = np.zeros(freqs.shape, dtype=complex)
-    for lo in range(0, freqs.size, _FREQ_CHUNK):
-        f = freqs[lo : lo + _FREQ_CHUNK, None]
-        s_rise = np.exp(-2j * np.pi * f * rises[None, :]).sum(axis=1)
-        s_fall = np.exp(-2j * np.pi * f * falls[None, :]).sum(axis=1)
-        out[lo : lo + _FREQ_CHUNK] = s_rise - s_fall
+    out = np.empty(freqs.shape, dtype=complex)
+    row_len = max(rises.size, falls.size, 1)
+    rows = max(1, _EDGE_BLOCK_BUDGET // row_len)
+    buf = np.empty(min(rows, freqs.size) * row_len, dtype=complex)
+    for lo in range(0, freqs.size, rows):
+        w = -2j * np.pi * freqs[lo : lo + rows, None]
+        sums = []
+        for times in (rises, falls):
+            z = buf[: w.size * times.size].reshape(w.size, times.size)
+            np.multiply(w, times, out=z)
+            np.exp(z, out=z)
+            sums.append(z.sum(axis=1))
+        np.subtract(*sums, out=out[lo : lo + rows])
     return out
 
 

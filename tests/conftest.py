@@ -4,9 +4,9 @@ Synthetic single-phase schedules exercising the lock recursions outside the
 full scheduler, plus brute-force integer scans used as oracles for the
 closed-form k ranges, record-by-record versions of `edge_times` and
 `pulse_train` used as oracles, earlier whole-array versions of `sample`,
-`welch_psd` and the CSV column writer and the indexed knot loop of
-`rl_current` used as exact oracles, and Hypothesis strategies for
-well-formed and malformed schedules.
+`welch_psd`, the edge-phasor sum and the CSV column writer and the
+indexed knot loop of `rl_current` used as exact oracles, and Hypothesis
+strategies for well-formed and malformed schedules.
 """
 
 from dataclasses import replace
@@ -280,6 +280,14 @@ def transpose_welch(waveform, segment_len, overlap=0.5, window="hann", detrend="
         np.add(spec.real**2, spec.imag**2, out=power[s])
     power[:, 1:-1] *= 2.0
     return power_to_db(power.T.copy().mean(axis=-1))
+
+
+def whole_grid_edge_sum(rises, falls, freqs):
+    """Oracle: the edge-phasor sum of every bin from one fresh temporary."""
+    f = freqs[:, None]
+    s_rise = np.exp(-2j * np.pi * f * rises[None, :]).sum(axis=1)
+    s_fall = np.exp(-2j * np.pi * f * falls[None, :]).sum(axis=1)
+    return s_rise - s_fall
 
 
 def indexed_rl_knots(times, voltages, load):

@@ -23,6 +23,8 @@ from notchpwm import (
     SnsRfRpVariant,
     StrategyKind,
     StrategySpec,
+    angle_at,
+    duty_cycles,
     feasibility_min_fx,
     fixed_position_k_range,
     fixed_position_next_freq,
@@ -438,6 +440,38 @@ def test_schedule_determinism():
         assert a.records != c.records or spec.kind is StrategyKind.CSVPWM
 
 
+@pytest.mark.parametrize("spec", ALL_SPECS)
+def test_schedule_calls_angle_and_duty_laws_once_per_cycle(monkeypatch, spec):
+    # angle_at and duty_cycles are looked up on the module for every
+    # cycle, so wrapping them there sees each cycle's angle exactly once
+    calls = {"angle_at": [], "duty_cycles": []}
+    for name, law in (("angle_at", angle_at), ("duty_cycles", duty_cycles)):
+
+        def counted(*args, _law=law, _calls=calls[name]):
+            _calls.append(args)
+            return _law(*args)
+
+        monkeypatch.setattr(scheduler_module, name, counted)
+    result = schedule(spec, MOD, 0.05, 3)
+    thetas = [angle_at(MOD, t) for t in result.records.t_m.tolist()]
+    assert len(thetas) == result.stats.cycles > 0
+    assert calls["angle_at"] == [(MOD, t) for t in result.records.t_m.tolist()]
+    assert calls["duty_cycles"] == [(MOD, theta) for theta in thetas]
+
+
+@pytest.mark.parametrize("position", list(PulsePosition))
+def test_fixed_positions_follow_their_closed_forms(position):
+    spec = spec_for(StrategyKind.FIXED_POS, fixed_position=position)
+    records = schedule(spec, MOD, 0.1, 2).records
+    off = 1.0 - records.duty
+    want = {
+        PulsePosition.FRONT: np.zeros_like(off),
+        PulsePosition.CENTER: off / 2.0,
+        PulsePosition.BACK: off,
+    }[position]
+    assert np.array_equal(records.position.view(np.uint64), want.view(np.uint64))
+
+
 def test_schedule_zero_duration_is_empty():
     res = schedule(spec_for(StrategyKind.RP), MOD, 0.0, 1)
     assert res.records == []
@@ -772,6 +806,18 @@ def test_scheduled_lock_integers_are_nonnegative(spec, m_index, fx, seed):
     assert k[k != -1].tolist() == draws
 
 
+@pytest.mark.parametrize("flush_cycles", (1, 2, 7))
+def test_schedule_columns_do_not_depend_on_the_list_blocks(monkeypatch, flush_cycles):
+    want = [schedule(spec, MOD, 0.01, 4) for spec in ALL_SPECS]
+    monkeypatch.setattr(scheduler_module, "_FLUSH_CYCLES", flush_cycles)
+    for spec, res in zip(ALL_SPECS, want):
+        got = schedule(spec, MOD, 0.01, 4)
+        assert got.stats == res.stats
+        for col, ref in zip(got.records._arrays(), res.records._arrays()):
+            assert col.dtype == ref.dtype and col.shape == ref.shape
+            assert col.tobytes() == ref.tobytes()
+
+
 def test_schedule_builds_no_records():
     def refuse(**_fields):
         raise AssertionError("schedule() built a CycleRecord")
@@ -787,10 +833,14 @@ def test_schedule_result_bytes_per_cycle():
     tracemalloc.start()
     try:
         result = schedule(spec, MOD, 2.0, 0)
-        held = tracemalloc.get_traced_memory()[0]
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert len(result.records) == 5001
     # the columns take 99 B per cycle (13 eight-byte values, 3 flags)
     assert held / len(result.records) <= 150.0
+    # building peaks at about 201 B per cycle, the arrays of every list
+    # block plus their concatenation; lists kept for the whole run of
+    # Python scalars peaked at about 370 B
+    assert peak / len(result.records) <= 250.0
     assert isinstance(result.records.k, np.ndarray)

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import notchpwm
+import notchpwm.spectrum as spectrum_module
 from conftest import (
     chain_rp,
     chain_sns_rp,
@@ -22,13 +24,17 @@ from conftest import (
     same_bits,
     schedules,
     transpose_welch,
+    whole_grid_edge_sum,
 )
 from notchpwm import (
     CancelMethod,
     GridMismatchError,
+    ModulatorConfig,
     SampledWaveform,
     Schedule,
     Spectrum,
+    StrategyKind,
+    StrategySpec,
     TooShortError,
     analytic_psd,
     analytic_transform,
@@ -37,6 +43,7 @@ from notchpwm import (
     edge_times,
     notch_report,
     power_to_db,
+    schedule,
     welch_psd,
 )
 from notchpwm.spectrum import WELCH_WINDOWS
@@ -150,6 +157,71 @@ def test_analytic_psd_matches_transform():
     want = power_to_db(np.abs(x) ** 2 * 2.0 / duration)
     assert np.array_equal(spec.values, want)
     assert spec.resolution == pytest.approx(freqs[1] - freqs[0])
+
+
+def _block_rows(budget, rises, falls):
+    """Bins `_edge_sum` puts in one block of `budget` phasors."""
+    return max(1, budget // max(rises.size, falls.size, 1))
+
+
+@st.composite
+def edge_sum_cases(draw):
+    """Edge times, a phasor budget, and a grid of 1, block - 1, block or
+    block + 1 bins, or more, that may reach negative frequencies."""
+    budget = draw(st.sampled_from((1, 3, 16, 100, spectrum_module._EDGE_BLOCK_BUDGET)))
+    times = st.floats(-10.0, 10.0)
+    n_rise = draw(st.integers(0, 60))
+    n_fall = draw(st.just(n_rise) | st.integers(0, 60))
+    rises = draw(arrays(float, n_rise, elements=times))
+    falls = draw(arrays(float, n_fall, elements=times))
+    block = _block_rows(budget, rises, falls)
+    n_bins = draw(
+        st.sampled_from(sorted({1, max(1, block - 1), block, block + 1}))
+        | st.integers(1, 3 * block + 2)
+    )
+    f0 = draw(st.floats(-2e4, 2e4))
+    df = draw(st.floats(-50.0, 50.0))
+    return budget, rises, falls, f0 + df * np.arange(n_bins)
+
+
+@settings(max_examples=200, deadline=None)
+@given(edge_sum_cases())
+@example(
+    (spectrum_module._EDGE_BLOCK_BUDGET, np.zeros(0), np.zeros(0), np.array([-7000.0]))
+)
+def test_edge_sum_matches_whole_grid_oracle(case):
+    budget, rises, falls, freqs = case
+    with mock.patch.object(spectrum_module, "_EDGE_BLOCK_BUDGET", budget):
+        got = spectrum_module._edge_sum(rises, falls, freqs)
+    assert same_bits(got.view(float), whole_grid_edge_sum(rises, falls, freqs).view(float))
+
+
+def test_edge_sum_of_rows_longer_than_the_budget():
+    # one bin per block, each row more phasors than the budget holds
+    rng = np.random.default_rng(12)
+    rises = np.sort(rng.uniform(0.0, 2.0, spectrum_module._EDGE_BLOCK_BUDGET + 1))
+    falls = rises + 1e-4
+    freqs = np.array([-7000.0, 50.0, 7000.0])
+    assert _block_rows(spectrum_module._EDGE_BLOCK_BUDGET, rises, falls) == 1
+    got = spectrum_module._edge_sum(rises, falls, freqs)
+    assert same_bits(got.view(float), whole_grid_edge_sum(rises, falls, freqs).view(float))
+
+
+def test_analytic_transform_working_memory():
+    mod = ModulatorConfig(m_index=0.7, f1=50.0, u_dc=24.0)
+    spec = StrategySpec(kind=StrategyKind.SNS_RP, fs=2500.0, fx=7000.0)
+    records = schedule(spec, mod, 2.0, 0).records
+    freqs = 7000.0 + np.arange(-2048, 2048) / 2.0
+    tracemalloc.start()
+    try:
+        x = analytic_transform(records, "a", freqs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(records) == 5001 and x.size == 4096
+    # one block of 2**16 phasors (1 MB) plus bin-sized results: 1.2 MB
+    # measured; blocks of 256 bins of all 3301 edges peaked at 27 MB
+    assert peak <= 2e6
 
 
 # ---------------------------------------------------------------------------
