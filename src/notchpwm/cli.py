@@ -73,11 +73,11 @@ MIN_FUNDAMENTAL_PERIODS = 50.0
 # strategy kinds `compare --baseline` accepts
 BASELINE_KINDS = ("rp", "csvpwm", "rf")
 
-# most samples per phase a run may raster.  `simulate` peaks near 19
-# bytes per sample of a long run, plus the schedules (99 B per cycle,
-# two schedules during the baseline).  Peak RSS of 49.9 s runs at 1 MHz
-# (numpy 2.4) was 0.85 GB for sns_rp at 2.5 kHz and 0.99 GB for rp at
-# 10 kHz, the most cycles the rate allows, so this keeps a run near 1 GB
+# most samples per phase a run may raster.  `simulate` peaks near 19 B
+# per sample of a long run, 99 B per cycle per schedule (two during the
+# baseline) and about 160 B per export row.  At the default 0.1 s export
+# window, peak RSS of 49.9 s runs at 1 MHz (numpy 2.4) was 0.85 GB for
+# sns_rp at 2.5 kHz and 0.99 GB for rp at 10 kHz, so a run stays near 1 GB
 MAX_SAMPLES = 50_000_000
 
 
@@ -86,7 +86,8 @@ class ScenarioConfig:
     """Everything a run needs, as read from one config file.
 
     The fields are the config keys: each value is parsed by its field's
-    annotated type, and the fields without a default are required.
+    annotated type; fields without a default are required.  The former key
+    sns_rp_variant is read as cancel_method: naming both is a duplicate.
     """
 
     strategy: StrategyKind
@@ -100,7 +101,6 @@ class ScenarioConfig:
     fs_max_hz: Optional[float] = None
     fx_hz: Optional[float] = None
     half_band_hz: float = 500.0
-    sns_rp_variant: CancelMethod = CancelMethod.FALL_AFTER_RISE
     sns_rf_rp_variant: SnsRfRpVariant = SnsRfRpVariant.POSITION_FROM_FREQ
     fixed_position: PulsePosition = PulsePosition.CENTER
     cancel_method: CancelMethod = CancelMethod.FALL_AFTER_RISE
@@ -149,6 +149,7 @@ _CONVERTERS = {
     name: _converter(hint) for name, hint in get_type_hints(ScenarioConfig).items()
 }
 _REQUIRED = tuple(f.name for f in fields(ScenarioConfig) if f.default is MISSING)
+_KEY_ALIASES = {"sns_rp_variant": "cancel_method"}
 
 
 def parse_config(path) -> ScenarioConfig:
@@ -171,6 +172,7 @@ def parse_config(path) -> ScenarioConfig:
             raise ConfigError(f"{path}:{lineno}: expected key = value, got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
+        key = _KEY_ALIASES.get(key, key)
         value = value.strip()
         if key not in _CONVERTERS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
@@ -247,7 +249,6 @@ def strategy_spec(cfg: ScenarioConfig) -> StrategySpec:
         fs_min=cfg.fs_min_hz,
         fs_max=cfg.fs_max_hz,
         fx=cfg.fx_hz,
-        sns_rp_variant=cfg.sns_rp_variant,
         sns_rf_rp_variant=cfg.sns_rf_rp_variant,
         fixed_position=cfg.fixed_position,
         cancel_method=cfg.cancel_method,

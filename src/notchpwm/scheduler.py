@@ -8,7 +8,8 @@ number of carrier periods of fx after an edge of the previous pulse.  The
 paired exponentials then cancel and the transform at fx telescopes down to
 the two unpaired boundary terms, no matter how long the run is.
 
-Two pairings are available (`CancelMethod`):
+Two pairings are available (`CancelMethod`); SNS_RP and FIXED_POS lock
+the one `StrategySpec.cancel_method` names, SNS_RF_RP the first only:
 
 * FALL_AFTER_RISE - the new cycle's falling edge locks to the previous
   cycle's rising edge; the recursion needs only the new cycle's duty.
@@ -43,14 +44,13 @@ import math
 import operator
 import random
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from enum import Enum
 from typing import Optional
 
 import numpy as np
 
 from .modulator import (
-    DutyTriple,
     ModulatorConfig,
     angle_at,
     duty_cycles,
@@ -118,8 +118,7 @@ class SeededRng:
     """
 
     def __init__(self, seed: int):
-        self.seed = int(seed)
-        self._rng = random.Random(self.seed)
+        self._rng = random.Random(int(seed))
 
     def uniform(self, lo: float, hi: float) -> float:
         """Uniform real on [lo, hi]."""
@@ -140,9 +139,11 @@ class StrategySpec:
 
     fs is the fixed switching frequency (CSVPWM/RP/SNS_RP); banded kinds
     (RF/SNS_RF_RP/FIXED_POS) use [fs_min, fs_max] instead.  fx is the
-    notch target.  With reference_phase_only=True the SNS recursion is
-    applied to phase A only and the other legs fall back to plain random
-    positions.
+    notch target and cancel_method the edge pair that SNS_RP and FIXED_POS
+    lock (SNS_RF_RP locks FALL_AFTER_RISE only); sns_rp_variant, its former
+    name, is an init-only keyword that sets it.  With
+    reference_phase_only=True the SNS recursion is applied to phase A
+    only and the other legs fall back to plain random positions.
     """
 
     kind: StrategyKind
@@ -150,11 +151,15 @@ class StrategySpec:
     fs_min: Optional[float] = None
     fs_max: Optional[float] = None
     fx: Optional[float] = None
-    sns_rp_variant: CancelMethod = CancelMethod.FALL_AFTER_RISE
     sns_rf_rp_variant: SnsRfRpVariant = SnsRfRpVariant.POSITION_FROM_FREQ
     fixed_position: PulsePosition = PulsePosition.CENTER
     cancel_method: CancelMethod = CancelMethod.FALL_AFTER_RISE
     reference_phase_only: bool = False
+    sns_rp_variant: InitVar[Optional[CancelMethod]] = None
+
+    def __post_init__(self, sns_rp_variant: Optional[CancelMethod]) -> None:
+        if sns_rp_variant is not None:
+            object.__setattr__(self, "cancel_method", sns_rp_variant)
 
     def validate(self) -> None:
         kind = self.kind
@@ -175,6 +180,9 @@ class StrategySpec:
         if kind in (StrategyKind.SNS_RP, StrategyKind.SNS_RF_RP, StrategyKind.FIXED_POS):
             if self.fx is None or self.fx <= 0.0:
                 raise ConfigError(f"{kind.value} requires a positive notch frequency fx")
+        method = self.cancel_method
+        if kind is StrategyKind.SNS_RF_RP and method is not CancelMethod.FALL_AFTER_RISE:
+            raise ConfigError(f"sns_rf_rp locks fall_after_rise only, got {method.value}")
 
 
 @dataclass(frozen=True)
@@ -303,10 +311,6 @@ class RunStats:
     fallbacks: list[int] = field(default_factory=lambda: [0, 0, 0])
     chain_restarts: list[int] = field(default_factory=lambda: [0, 0, 0])
     feasibility_warnings: list[str] = field(default_factory=list)
-
-    @property
-    def total_fallbacks(self) -> int:
-        return sum(self.fallbacks)
 
     @property
     def total_chain_restarts(self) -> int:
@@ -619,7 +623,7 @@ def schedule(
     if not 0.0 <= duration < math.inf:
         raise ConfigError(f"duration must be finite and nonnegative, got {duration}")
     stats = RunStats()
-    kind = strategy.kind
+    kind, method = strategy.kind, strategy.cancel_method
     fx, fs, fs_min, fs_max = strategy.fx, strategy.fs, strategy.fs_min, strategy.fs_max
     fixed_fs = kind in (StrategyKind.CSVPWM, StrategyKind.RP, StrategyKind.SNS_RP)
     fs_top = fs if fixed_fs else fs_max  # banded draws and solves stay <= fs_max
@@ -638,14 +642,6 @@ def schedule(
     locked = (0,) if strategy.reference_phase_only else (0, 1, 2)
     solved = range(1 if freq_locked else 0, 3)
     centered = kind is StrategyKind.CSVPWM or kind is StrategyKind.RF
-
-    if kind is StrategyKind.SNS_RP:
-        limit = feasibility_min_fx(strategy.sns_rp_variant, fs, 0.0, modcfg.m_index)
-        if fx < limit:
-            stats.feasibility_warnings.append(
-                f"fx={fx:g} Hz is below the feasibility limit "
-                f"{limit:g} Hz for fs={fs:g} Hz; every cycle will fall back"
-            )
 
     rng = SeededRng(seed)
     uniform, randint = rng.uniform, rng.randint
@@ -672,7 +668,12 @@ def schedule(
     # position or frequency a drawn k solves.  They read the previous
     # cycle and this cycle's fs_next and drawn position of phase A.
     if kind is StrategyKind.SNS_RP:
-        method = strategy.sns_rp_variant
+        limit = feasibility_min_fx(method, fs, 0.0, modcfg.m_index)
+        if fx < limit:
+            stats.feasibility_warnings.append(
+                f"fx={fx:g} Hz is below the feasibility limit "
+                f"{limit:g} Hz for fs={fs:g} Hz; every cycle will fall back"
+            )
 
         def pos_k_range(i, d):
             return k_range_sns_rp(fx, fs, r_prev[i], d, method, d_prev[i])
@@ -700,7 +701,7 @@ def schedule(
             )
 
     elif kind is StrategyKind.FIXED_POS:
-        position, method = strategy.fixed_position, strategy.cancel_method
+        position = strategy.fixed_position
         share = _FIXED_POSITION_SHARE[position]
 
         def freq_k_range(i, d):

@@ -48,7 +48,6 @@ class PulseTrain:
     edge is 0.  Edges strictly increase.
     """
 
-    phase: str
     times: np.ndarray
     levels: np.ndarray
     duration: float
@@ -133,7 +132,7 @@ def pulse_train(records: Sequence[CycleRecord], phase: str) -> PulseTrain:
     """
     p = _phase_index(phase)
     if not records:
-        return PulseTrain(phase, np.empty(0), np.empty(0), 0.0, 0.0)
+        return PulseTrain(np.empty(0), np.empty(0), 0.0, 0.0)
     t_m, ts, duty, position = _columns(records, p)
     _check_records(records, p, t_m, ts, duty, position)
     rises, falls = _edges(t_m, ts, duty, position)
@@ -143,7 +142,6 @@ def pulse_train(records: Sequence[CycleRecord], phase: str) -> PulseTrain:
     opens = np.flatnonzero(a > np.r_[-np.inf, run_end[:-1]] + _MERGE_TOL)
     ends = np.append(run_end[opens[1:] - 1], run_end[-1:])
     return PulseTrain(
-        phase=phase,
         times=np.column_stack((a[opens], ends)).ravel(),
         levels=np.tile([1.0, 0.0], opens.size),
         duration=float(t_m[-1] + ts[-1]),
@@ -221,8 +219,7 @@ def voltage_segments(
     duration = max(tr.duration for tr in trains)
     edges = np.concatenate([tr.times for tr in trains])
     pts = np.unique(np.concatenate((edges, [0.0, duration])))
-    pts = pts[(pts >= 0.0) & (pts <= duration)]
-    breaks = pts
+    breaks = pts[(pts >= 0.0) & (pts <= duration)]
     starts = breaks[:-1]
 
     states = []

@@ -231,7 +231,7 @@ def loop_pulse_train(records, phase):
             intervals.append((a, b))
 
     if not records:
-        return PulseTrain(phase, np.empty(0), np.empty(0), 0.0, 0.0)
+        return PulseTrain(np.empty(0), np.empty(0), 0.0, 0.0)
     times = np.empty(2 * len(intervals))
     levels = np.empty(2 * len(intervals))
     for i, (a, b) in enumerate(intervals):
@@ -239,7 +239,7 @@ def loop_pulse_train(records, phase):
         times[2 * i + 1] = b
         levels[2 * i] = 1.0
         levels[2 * i + 1] = 0.0
-    return PulseTrain(phase, times, levels, prev_end, 1.0 / min_ts)
+    return PulseTrain(times, levels, prev_end, 1.0 / min_ts)
 
 
 # ---------------------------------------------------------------------------

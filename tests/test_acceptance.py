@@ -60,7 +60,7 @@ SPECS = {
         kind=StrategyKind.SNS_RP,
         fs=2500.0,
         fx=FX,
-        sns_rp_variant=CancelMethod.RISE_AFTER_FALL,
+        cancel_method=CancelMethod.RISE_AFTER_FALL,
     ),
     "sns_rf_rp": StrategySpec(
         kind=StrategyKind.SNS_RF_RP, fs_min=1500.0, fs_max=3500.0, fx=FX
@@ -295,8 +295,8 @@ def test_criterion_09_fallback_rate_tracks_modulation_index():
     spec = SPECS["sns_rp_fall"]
     high = schedule(spec, ModulatorConfig(0.95, 50.0, 24.0), DURATION, SEED)
     low = schedule(spec, ModulatorConfig(0.3, 50.0, 24.0), DURATION, SEED)
-    hf = high.stats.total_fallbacks
-    lf = low.stats.total_fallbacks
+    hf = sum(high.stats.fallbacks)
+    lf = sum(low.stats.fallbacks)
     ok = hf / DURATION > 0.0 and lf <= hf / 10.0
     check(
         9,

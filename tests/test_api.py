@@ -1,9 +1,23 @@
 """The package's public names."""
 
 from dataclasses import fields
+from typing import get_type_hints
 
 import notchpwm
-from notchpwm import NotchReport, SampledWaveform, Spectrum, scheduler, spectrum, synthesis
+from notchpwm import (
+    CancelMethod,
+    NotchReport,
+    PulseTrain,
+    RunStats,
+    SampledWaveform,
+    SeededRng,
+    Spectrum,
+    StrategySpec,
+    scheduler,
+    spectrum,
+    synthesis,
+)
+from notchpwm.cli import ScenarioConfig
 
 # helpers that only tests called, and the error only one of them raised
 REMOVED = {
@@ -31,3 +45,21 @@ def test_public_names_resolve_and_removed_names_are_gone():
         "threshold_db",
     ]
     assert [f.name for f in fields(SampledWaveform)] == ["values", "rate"]
+    # state that nothing read
+    assert [f.name for f in fields(PulseTrain)] == [
+        "times",
+        "levels",
+        "duration",
+        "max_switching_freq",
+    ]
+    assert not hasattr(RunStats(), "total_fallbacks")
+    assert not hasattr(SeededRng(1), "seed")
+
+
+def test_one_cancel_method_field():
+    # sns_rp_variant survives only as an init-only keyword and a config key
+    for cls, count in ((StrategySpec, 9), (ScenarioConfig, 23)):
+        names = [f.name for f in fields(cls)]
+        assert len(names) == count and "sns_rp_variant" not in names
+        hints = get_type_hints(cls)
+        assert [n for n in names if hints[n] is CancelMethod] == ["cancel_method"]

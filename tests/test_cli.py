@@ -81,13 +81,13 @@ def test_parse_config_types_and_comments(tmp_path):
         "fs_hz = 2500\n"
         "fx_hz = 7000\n"
         "\n"
-        "sns_rp_variant = rise_after_fall\n"
+        "cancel_method = rise_after_fall\n"
         "reference_phase_only = yes\n"
         "psd_segment_len = 4096\n"
     )
     cfg = parse_config(path)
     assert cfg.strategy is StrategyKind.SNS_RP
-    assert cfg.sns_rp_variant is CancelMethod.RISE_AFTER_FALL
+    assert cfg.cancel_method is CancelMethod.RISE_AFTER_FALL
     assert cfg.reference_phase_only is True
     assert cfg.seed == 3
     assert cfg.psd_segment_len == 4096
@@ -109,7 +109,6 @@ FIELD_CASES = {
     "fs_max_hz": ("3500", 3500.0, dict(strategy="rf", fs_min_hz=1500.0)),
     "fx_hz": ("7000", 7000.0, {}),
     "half_band_hz": ("250", 250.0, {}),
-    "sns_rp_variant": ("RISE_AFTER_FALL", CancelMethod.RISE_AFTER_FALL, {}),
     "sns_rf_rp_variant": (
         "freq_from_position",
         SnsRfRpVariant.FREQ_FROM_POSITION,
@@ -142,6 +141,10 @@ def test_parse_config_reads_every_field(tmp_path, field):
             parse_config(write_config(tmp_path / "run.cfg", drop=(field.name,)))
 
 
+SNS_RP = dict(strategy="sns_rp", fx_hz=7000.0)
+SNS_RF_RP = dict(strategy="sns_rf_rp", fx_hz=7000.0, fs_min_hz=1500.0, fs_max_hz=3500.0)
+
+
 @pytest.mark.parametrize(
     "mutate",
     [
@@ -168,12 +171,46 @@ def test_parse_config_reads_every_field(tmp_path, field):
         dict(psd_segment_len=65536),  # longer than any 0.04 s run at 1 MHz
         # parsed only: 3e8 samples per phase at 1 MHz, tens of GB
         dict(strategy="sns_rp", fx_hz=7000.0, duration_s=300.0),
+        # sns_rf_rp locks fall_after_rise only, under either key name
+        dict(SNS_RF_RP, cancel_method="rise_after_fall"),
+        dict(SNS_RF_RP, sns_rp_variant="rise_after_fall"),
     ],
 )
 def test_parse_config_rejects_bad_values(tmp_path, mutate):
     path = write_config(tmp_path / "run.cfg", **mutate)
     with pytest.raises(ConfigError):
         parse_config(path)
+
+
+def test_parse_config_reads_the_former_cancel_method_key(tmp_path):
+    former = write_config(tmp_path / "former.cfg", sns_rp_variant="rise_after_fall", **SNS_RP)
+    cfg = parse_config(former)
+    assert cfg.cancel_method is CancelMethod.RISE_AFTER_FALL
+    assert not hasattr(cfg, "sns_rp_variant")
+    current = write_config(tmp_path / "run.cfg", cancel_method="rise_after_fall", **SNS_RP)
+    assert cfg == parse_config(current)
+
+
+@pytest.mark.parametrize(
+    "settings, extra_line",
+    [
+        # a key and its former name are one key, even when they agree
+        (dict(cancel_method="rise_after_fall"), "sns_rp_variant = rise_after_fall"),
+        (dict(cancel_method="fall_after_rise"), "sns_rp_variant = rise_after_fall"),
+        (dict(sns_rp_variant="same_cycle"), ""),  # not a cancel method
+        (dict(SNS_RF_RP, cancel_method="rise_after_fall"), ""),
+    ],
+)
+def test_cancel_method_errors_exit_2_before_any_output(
+    tmp_path, capsys, settings, extra_line
+):
+    path = write_config(tmp_path / "run.cfg", **{**SNS_RP, **settings})
+    with open(path, "a") as fh:
+        fh.write(extra_line + "\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_segment_filled_only_by_the_last_cycle_is_accepted(tmp_path):

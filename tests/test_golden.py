@@ -52,6 +52,7 @@ def _specs():
         "rf": StrategySpec(kind=StrategyKind.RF, **BAND),
     }
     for name, method in (("far", FAR), ("raf", RAF)):
+        # the former name of cancel_method, so these cases pin its alias too
         sns_rp = dict(kind=StrategyKind.SNS_RP, fs=2500.0, sns_rp_variant=method)
         specs[f"sns_rp-{name}"] = StrategySpec(fx=7000.0, **sns_rp)
         specs[f"sns_rp-{name}-ref"] = StrategySpec(

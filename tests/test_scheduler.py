@@ -158,7 +158,7 @@ def test_next_position_draws_within_range():
     # previous cycle and places the pulse by the recursion, snapped into
     # [0, 1 - d] when outside by roundoff only
     for method in CancelMethod:
-        spec = spec_for(StrategyKind.SNS_RP, sns_rp_variant=method)
+        spec = spec_for(StrategyKind.SNS_RP, cancel_method=method)
         res = schedule(spec, MOD, 0.1, 3)
         offsets = set()
         for prev, cur in zip(res.records, res.records[1:]):
@@ -421,7 +421,7 @@ ALL_SPECS = [
     spec_for(StrategyKind.RP),
     spec_for(StrategyKind.RF),
     spec_for(StrategyKind.SNS_RP),
-    spec_for(StrategyKind.SNS_RP, sns_rp_variant=CancelMethod.RISE_AFTER_FALL),
+    spec_for(StrategyKind.SNS_RP, cancel_method=CancelMethod.RISE_AFTER_FALL),
     spec_for(StrategyKind.SNS_RF_RP),
     spec_for(
         StrategyKind.SNS_RF_RP, sns_rf_rp_variant=SnsRfRpVariant.FREQ_FROM_POSITION
@@ -589,7 +589,7 @@ def test_schedule_bookkeeping_matches_records():
 def test_schedule_high_modulation_falls_back():
     mod = ModulatorConfig(m_index=0.95, f1=50.0, u_dc=24.0)
     res = schedule(spec_for(StrategyKind.SNS_RP), mod, 0.3, 1)
-    assert res.stats.total_fallbacks > 0
+    assert sum(res.stats.fallbacks) > 0
 
 
 def test_schedule_low_fx_warns():
@@ -624,6 +624,31 @@ def test_strategy_spec_validation():
         with pytest.raises(ConfigError):
             StrategySpec(**bad).validate()
     spec_for(StrategyKind.SNS_RP).validate()
+    # the SNS_RF_RP laws pair a fall after a rise only, under either name
+    raf = CancelMethod.RISE_AFTER_FALL
+    for name in ("cancel_method", "sns_rp_variant"):
+        with pytest.raises(ConfigError, match="sns_rf_rp locks fall_after_rise only"):
+            spec_for(StrategyKind.SNS_RF_RP, **{name: raf}).validate()
+        spec_for(StrategyKind.SNS_RP, **{name: raf}).validate()
+        spec_for(StrategyKind.FIXED_POS, **{name: raf}).validate()
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    kind=st.sampled_from((StrategyKind.SNS_RP, StrategyKind.FIXED_POS)),
+    method=st.sampled_from(CancelMethod),
+    m_index=st.floats(0.05, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_former_keyword_sets_cancel_method(kind, method, m_index, seed):
+    former = spec_for(kind, sns_rp_variant=method)
+    current = spec_for(kind, cancel_method=method)
+    assert former == current and former.cancel_method is method
+    assert replace(former, fx=7000.0) == current  # replace keeps the pairing
+    mod = ModulatorConfig(m_index=m_index, f1=50.0, u_dc=24.0)
+    a, b = (schedule(spec, mod, 0.02, seed).records for spec in (former, current))
+    for name in ("t_m", "ts", "sector", "duty", "position", "k", "fallback"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -661,7 +686,7 @@ def test_chain_property_sns_rp_fall_after_rise():
 
 
 def test_chain_property_sns_rp_rise_after_fall():
-    spec = spec_for(StrategyKind.SNS_RP, sns_rp_variant=CancelMethod.RISE_AFTER_FALL)
+    spec = spec_for(StrategyKind.SNS_RP, cancel_method=CancelMethod.RISE_AFTER_FALL)
     res = schedule(spec, MOD, 0.3, 1)
     assert_chain_locked(res.records, 7000.0, (0, 1, 2), CancelMethod.RISE_AFTER_FALL)
 

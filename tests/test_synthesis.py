@@ -239,7 +239,7 @@ def edge_trains(draw):
     times = np.array(sorted(times))
     level = st.sampled_from((0.0, 1.0, 0.25, -3.5))
     levels = np.array(draw(st.lists(level, min_size=times.size, max_size=times.size)))
-    return PulseTrain("a", times, levels, n / rate, 0.0), rate
+    return PulseTrain(times, levels, n / rate, 0.0), rate
 
 
 @settings(max_examples=300, deadline=None)
@@ -287,7 +287,7 @@ def free_trains(draw):
     duration = draw(st.floats(0.0, 4000.0 / rate))
     times = draw(st.lists(st.floats(-duration, 2.0 * duration + 1.0), unique=True))
     levels = draw(st.lists(_levels, min_size=len(times), max_size=len(times)))
-    train = PulseTrain("a", np.array(sorted(times)), np.array(levels), duration, 0.0)
+    train = PulseTrain(np.array(sorted(times)), np.array(levels), duration, 0.0)
     return train, rate
 
 
@@ -304,7 +304,7 @@ def test_sample_matches_bincount_oracle(case):
 @given(st.lists(st.floats(-1.0, 1.0) | st.just(float("nan")), min_size=2, max_size=8))
 @example([1e-3, 2e-3, 2e-3, 1e-3])
 def test_sample_names_the_first_unordered_edge(times):
-    train = PulseTrain("a", np.array(times), np.ones(len(times)), 1.0, 0.0)
+    train = PulseTrain(np.array(times), np.ones(len(times)), 1.0, 0.0)
     bad = [i for i in range(1, len(times)) if not times[i] > times[i - 1]]
     if not bad:
         assert sample(train, 1e3).values.size == 1000
@@ -330,7 +330,7 @@ def test_sample_names_the_first_unordered_edge(times):
     ],
 )
 def test_sample_names_the_first_nonfinite_edge(times, i):
-    train = PulseTrain("a", np.array(times), np.ones(len(times)), 1.0, 0.0)
+    train = PulseTrain(np.array(times), np.ones(len(times)), 1.0, 0.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError) as err:
