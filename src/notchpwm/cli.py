@@ -25,7 +25,7 @@ import sys
 from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, TextIO, get_type_hints
+from typing import Callable, Iterable, Optional, Sequence, TextIO, get_type_hints
 
 import numpy as np
 
@@ -73,11 +73,11 @@ MIN_FUNDAMENTAL_PERIODS = 50.0
 # strategy kinds `compare --baseline` accepts
 BASELINE_KINDS = ("rp", "csvpwm", "rf")
 
-# most samples per phase a run may raster.  `simulate` peaks near 19 B
+# most samples per phase a run may raster.  `simulate` peaks near 10 B
 # per sample of a long run, 99 B per cycle per schedule (two during the
-# baseline) and about 160 B per export row.  At the default 0.1 s export
-# window, peak RSS of 49.9 s runs at 1 MHz (numpy 2.4) was 0.85 GB for
-# sns_rp at 2.5 kHz and 0.99 GB for rp at 10 kHz, so a run stays near 1 GB
+# baseline) and about 80 B per export row.  At the default 0.1 s export
+# window, peak RSS of 49.9 s runs at 1 MHz (numpy 2.4) was 0.54 GB for
+# sns_rp at 2.5 kHz and 0.71 GB for rp at 10 kHz, so a run stays under 1 GB
 MAX_SAMPLES = 50_000_000
 
 
@@ -290,9 +290,9 @@ class RunArtifacts:
     `samples` (x_a, x_b, x_c) and `u_ab` hold only the export window that
     waveform.csv writes: the first round(export_window_s * sample_rate_hz)
     samples of the run, or all of them in a shorter run.  Each is an array
-    of its own, not a view, so the full rasters are freed once the PSD is
-    estimated.  While a run is sampled, at most two full rasters (8 bytes
-    per sample each) are alive: u_ab is formed in x_a's raster.
+    of its own, not a view, so no full raster outlives the run.  While a
+    run is sampled, at most one full float raster (8 bytes per sample) is
+    alive, next to x_a's raster kept as int8 until u_ab is formed in x_b's.
     """
 
     result: ScheduleResult
@@ -315,30 +315,35 @@ def run_strategy(
         # a copy, since a view would keep the full raster alive
         return SampledWaveform(values=values[:n_export].copy(), rate=rate)
 
-    # each full raster is rebound to its window right after its last
-    # full-length use, so none outlives the run's Welch estimate; u_ab is
-    # written over x_a's raster once x_a's window is copied out, so at
-    # most two full rasters are alive at once
+    def sampled(train: PulseTrain) -> np.ndarray:
+        try:
+            return sample(train, rate).values
+        except RateTooLowError as exc:
+            raise ConfigError(str(exc)) from exc
+
+    # at most one full float raster (8 bytes per sample) is alive at a
+    # time: x_a's levels are exactly 0 and 1, so it is kept as int8 once its
+    # window is copied out; u_ab is written over x_b's raster, and phase c
+    # is sampled only after u_ab's last full-length use
+    x_a = sampled(trains[0])
+    x_a, levels_a = window(x_a), x_a.astype(np.int8)
+    u_ab = sampled(trains[1])
+    x_b = window(u_ab)
+    line_voltage(levels_a, u_ab, cfg.u_dc_v, out=u_ab)
+    del levels_a
     try:
-        x_a, x_b = (sample(tr, rate).values for tr in trains[:2])
-        u_ab, x_a = x_a, window(x_a)
-        u_ab = SampledWaveform(
-            values=line_voltage(u_ab, x_b, cfg.u_dc_v, out=u_ab), rate=rate
+        psd = welch_psd(
+            SampledWaveform(values=u_ab, rate=rate),
+            cfg.psd_segment_len,
+            cfg.psd_overlap,
+            cfg.psd_window,
         )
-        x_b = window(x_b)
-        x_c = window(sample(trains[2], rate).values)
-    except RateTooLowError as exc:
-        raise ConfigError(str(exc)) from exc
-    try:
-        psd = welch_psd(u_ab, cfg.psd_segment_len, cfg.psd_overlap, cfg.psd_window)
     except TooShortError as exc:
         raise ConfigError(str(exc)) from exc
+    u_ab = window(u_ab)
+    x_c = window(sampled(trains[2]))
     return RunArtifacts(
-        result=result,
-        trains=trains,
-        samples=(x_a, x_b, x_c),
-        u_ab=window(u_ab.values),
-        psd=psd,
+        result=result, trains=trains, samples=(x_a, x_b, x_c), u_ab=u_ab, psd=psd
     )
 
 
@@ -387,12 +392,55 @@ def _column_text(values) -> list[str]:
     return text[index].tolist()
 
 
+class _Cells:
+    """A text column whose cells are made one block of rows at a time.
+
+    The cells of the rows `rows` (a slice) are `fmt(values[rows])`.
+    """
+
+    def __init__(self, values, fmt: Callable[..., list[str]]):
+        self.values, self.fmt = values, fmt
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __getitem__(self, rows: slice) -> list[str]:
+        return self.fmt(self.values[rows])
+
+
+def _block_text(values: np.ndarray) -> _Cells:
+    """A float column formatted once, for writing more than once.
+
+    Its text is held as one newline-joined string per _WRITE_BLOCK_ROWS
+    rows (about 10 bytes per row for sample times), not as one string
+    object per cell; `_write_columns` splits one block at a time.
+    """
+    blocks = [
+        "\n".join(_column_text(values[lo : lo + _WRITE_BLOCK_ROWS]))
+        for lo in range(0, values.size, _WRITE_BLOCK_ROWS)
+    ]
+    return _Cells(
+        range(values.size),
+        lambda rows: blocks[rows.start // _WRITE_BLOCK_ROWS].split("\n"),
+    )
+
+
+def _rows_text(columns: list, rows: slice) -> str:
+    """CSV lines of the rows `rows` of the columns."""
+    cells = [
+        _column_text(col[rows]) if isinstance(col, np.ndarray) else col[rows]
+        for col in columns
+    ]
+    return "\n".join(map(",".join, zip(*cells))) + "\n"
+
+
 def _write_columns(path: Path, header: str, columns: Iterable) -> None:
     """Write equal-length columns as CSV rows under a header.
 
-    A column is a float array, which `_column_text` formats, or the list
-    of its cells' text.  Rows are formatted and written _WRITE_BLOCK_ROWS
-    at a time, so the text of the whole file is never held at once.
+    A column is a float array, which `_column_text` formats, the list of
+    its cells' text, or `_Cells`.  Rows are formatted and written
+    _WRITE_BLOCK_ROWS at a time, and a block's cells are freed before the
+    next block's are made, so the text of the whole file is never held.
     """
     columns = list(columns)
     lengths = sorted({len(col) for col in columns})
@@ -401,31 +449,36 @@ def _write_columns(path: Path, header: str, columns: Iterable) -> None:
     with _open_out(path) as fh:
         fh.write(header)
         for lo in range(0, lengths[0] if lengths else 0, _WRITE_BLOCK_ROWS):
-            rows = slice(lo, lo + _WRITE_BLOCK_ROWS)
-            cells = [
-                _column_text(col[rows]) if isinstance(col, np.ndarray) else col[rows]
-                for col in columns
-            ]
-            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+            fh.write(_rows_text(columns, slice(lo, lo + _WRITE_BLOCK_ROWS)))
 
 
 def write_cycles_csv(path: Path, records: Sequence[CycleRecord]) -> None:
     """cycles.csv, one row per cycle; k is empty where no lock was drawn."""
     cycles = Schedule.from_records(records)
+
+    def ints(block) -> list[str]:
+        return list(map(str, block.tolist()))
+
+    def ks(block) -> list[str]:
+        return ["" if k < 0 else str(k) for k in block.tolist()]
+
+    def flags(block) -> list[str]:
+        return [_fmt(f) for f in block.tolist()]
+
     _write_columns(
         path,
         "# notchpwm cycles v1\n"
         "m,t_m_s,ts_s,sector,d_a,d_b,d_c,r_a,r_b,r_c,"
         "k_a,k_b,k_c,fallback_a,fallback_b,fallback_c\n",
         (
-            list(map(str, range(1, len(cycles) + 1))),
+            _Cells(np.arange(1, len(cycles) + 1), ints),
             cycles.t_m,
             cycles.ts,
-            list(map(str, cycles.sector.tolist())),
+            _Cells(cycles.sector, ints),
             *cycles.duty.T,
             *cycles.position.T,
-            *(["" if k < 0 else str(k) for k in ks] for ks in cycles.k.T.tolist()),
-            *([_fmt(f) for f in flags] for flags in cycles.fallback.T.tolist()),
+            *(_Cells(col, ks) for col in cycles.k.T),
+            *(_Cells(col, flags) for col in cycles.fallback.T),
         ),
     )
 
@@ -440,7 +493,7 @@ def write_psd_csv(path: Path, psd: Spectrum, baseline: Optional[Spectrum] = None
     _write_columns(path, header, columns)
 
 
-def write_waveform_csv(path: Path, artifacts: RunArtifacts, time_text: list[str]) -> None:
+def write_waveform_csv(path: Path, artifacts: RunArtifacts, time_text: _Cells) -> None:
     """waveform.csv of the export window; `time_text` is its time column."""
     waves = (*artifacts.samples, artifacts.u_ab)
     _write_columns(
@@ -450,8 +503,8 @@ def write_waveform_csv(path: Path, artifacts: RunArtifacts, time_text: list[str]
     )
 
 
-def write_current_csv(path: Path, trace: CurrentTrace, time_text: list[str]) -> None:
-    """current.csv; `time_text` is `trace.times` through `_column_text`."""
+def write_current_csv(path: Path, trace: CurrentTrace, time_text: _Cells) -> None:
+    """current.csv; `time_text` is `trace.times` through `_block_text`."""
     _write_columns(
         path,
         "# notchpwm current v1\ntime_s,i_a_amps\n",
@@ -567,7 +620,7 @@ def run_simulate(cfg: ScenarioConfig) -> Optional[NotchReport]:
     write_psd_csv(out / "psd.csv", artifacts.psd)
     # waveform.csv and current.csv share one time column: format it once
     n_export = artifacts.u_ab.values.size
-    time_text = _column_text(np.arange(n_export) / cfg.sample_rate_hz)
+    time_text = _block_text(np.arange(n_export) / cfg.sample_rate_hz)
     write_waveform_csv(out / "waveform.csv", artifacts, time_text)
     write_current_csv(out / "current.csv", _phase_a_current(artifacts, cfg), time_text)
     write_report(

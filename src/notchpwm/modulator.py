@@ -79,13 +79,18 @@ def _sector_duties(m: float, theta: float, sector: int) -> tuple[float, float, f
     return -m * math.sin(theta - SECTOR_SPAN), 0.0, -m * math.sin(theta)
 
 
-def duty_cycles(cfg: ModulatorConfig, theta: float) -> DutyTriple:
+def duty_cycles(
+    cfg: ModulatorConfig, theta: float, sector: int | None = None
+) -> DutyTriple:
     """Duty triple (d_a, d_b, d_c) at absolute vector angle theta.
 
     Exactly one component is zero (the clamped leg of the sector) and every
-    component lies in [0, m_index].
+    component lies in [0, m_index].  `sector` is `sector_of(theta)`, which
+    a caller that already has it can pass instead of having it recomputed.
     """
-    d_a, d_b, d_c = _sector_duties(cfg.m_index, theta, sector_of(theta))
+    if sector is None:
+        sector = sector_of(theta)
+    d_a, d_b, d_c = _sector_duties(cfg.m_index, theta, sector)
     # sector-edge roundoff can leave values like -1e-17; the laws are
     # nonnegative inside their own sector, so snap into [0, 1]
     return DutyTriple(

@@ -738,7 +738,7 @@ def schedule(
         m += 1
         theta = angle_at(modcfg, t)
         sec = sector_of(theta)
-        duty = duty_cycles(modcfg, theta)
+        duty = duty_cycles(modcfg, theta, sec)
         pos = [0.5, 0.5, 0.5]  # a zero-duty leg of a solved kind stays here
         kk = [-1, -1, -1]
         fb = [False, False, False]

@@ -21,15 +21,18 @@ bit-identical to evaluating the whole grid in one temporary.
 Estimated spectra use Welch's method (Welch, IEEE Trans. Audio
 Electroacoust. 15(2), 1967) on uniformly sampled waveforms.  It is
 computed in numpy with the operations of `scipy.signal.welch` (scipy
-1.17) in the same order, and matches it bit for bit.  Power densities are
-reported in dB/Hz with a -200 dB/Hz floor so that exact zeros stay
-finite.
+1.17) in the same order, and matches it bit for bit.  The segments'
+powers are not stored as a table: each segment's power is added into a
+running sum in the order numpy's pairwise mean over such a table would
+add it, so the estimate needs working memory of a few bins-long arrays
+whatever the waveform's length.  Power densities are reported in dB/Hz
+with a -200 dB/Hz floor so that exact zeros stay finite.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -163,6 +166,47 @@ def _periodic_window(name: str, size: int) -> np.ndarray:
     return win[:-1]
 
 
+# numpy's pairwise sum adds up to this many values in 8 accumulators
+# before it splits a sum in two (PW_BLOCKSIZE in numpy's loops_utils.h.src)
+_PW_BLOCKSIZE = 128
+
+
+def _pairwise_sum(rows: Iterator[np.ndarray], n: int) -> np.ndarray:
+    """Sum of the next n arrays of `rows`, in numpy's pairwise order.
+
+    Each element is summed as numpy's `pairwise_sum` sums a row of n
+    values: in order below 8; with 8 interleaved accumulators up to
+    _PW_BLOCKSIZE, the remainder added after they are combined; above that
+    as the sum of two halves split at n / 2 rounded down to a multiple of
+    8.  So for nonnegative arrays the result equals the sum, and divided
+    by n the mean, along the last axis of the arrays stacked as columns,
+    bit for bit (checked against numpy 2.4), without holding them at once:
+    working memory is 8 accumulators plus one partial sum per split level.
+    The arrays of `rows` are read, never written.
+    """
+    if n > _PW_BLOCKSIZE:
+        half = n // 2
+        half -= half % 8
+        total = _pairwise_sum(rows, half)
+        total += _pairwise_sum(rows, n - half)
+        return total
+    if n < 8:
+        total = next(rows).copy()
+        for _ in range(n - 1):
+            total += next(rows)
+        return total
+    acc = [next(rows).copy() for _ in range(8)]
+    unrolled = n - n % 8
+    for i in range(8, unrolled):
+        acc[i % 8] += next(rows)
+    # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+    for a, b in ((0, 1), (2, 3), (0, 2), (4, 5), (6, 7), (4, 6), (0, 4)):
+        acc[a] += acc[b]
+    for _ in range(unrolled, n):
+        acc[0] += next(rows)
+    return acc[0]
+
+
 def welch_psd(
     waveform: SampledWaveform,
     segment_len: int,
@@ -196,16 +240,19 @@ def welch_psd(
     win = win * (1.0 / np.sqrt(np.cumsum(win**2)[-1] / (1.0 / waveform.rate)))
     n_seg = (n - noverlap) // hop
     segments = sliding_window_view(waveform.values, segment_len)[: n_seg * hop : hop]
-    # one column per segment, so each bin's powers lie contiguous in its
-    # row and the mean over them is numpy's pairwise sum
-    power = np.empty((segment_len // 2 + 1, n_seg))
-    for s, seg in enumerate(segments):
-        if detrend:
-            seg = seg - seg.mean()
-        spec = np.fft.rfft(seg * win)
-        np.add(spec.real**2, spec.imag**2, out=power[:, s])
-    power[1:-1] *= 2.0
-    power = power.mean(axis=-1)
+
+    def powers():
+        for seg in segments:
+            if detrend:
+                seg = seg - seg.mean()
+            spec = np.fft.rfft(seg * win)
+            power = spec.real**2
+            power += spec.imag**2
+            power[1:-1] *= 2.0
+            yield power
+
+    # the mean numpy takes over a (bins, n_seg) table of the powers
+    power = _pairwise_sum(powers(), n_seg) / n_seg
     freqs = np.fft.rfftfreq(segment_len, 1.0 / waveform.rate)
     return Spectrum(
         freqs=freqs, values=power_to_db(power), resolution=float(freqs[1] - freqs[0])

@@ -1,8 +1,11 @@
 """Tests for config parsing, artifact writing, and the command line."""
 
 import filecmp
+import os
+import sys
 import tracemalloc
 from dataclasses import MISSING, fields
+from pathlib import Path
 from unittest import mock
 
 import hypothesis
@@ -17,9 +20,11 @@ from notchpwm import (
     CancelMethod,
     ConfigError,
     CurrentTrace,
+    ModulatorConfig,
     PulsePosition,
     SnsRfRpVariant,
     StrategyKind,
+    StrategySpec,
     schedule,
 )
 from notchpwm.cli import (
@@ -414,8 +419,15 @@ def test_current_and_waveform_share_one_time_column(tmp_path, monkeypatch, setti
     write_current = cli_module.write_current_csv
 
     def check_current(path, trace, time_text):
-        # the shared column is what the current grid's own times format to
-        written.append(cli_module._column_text(trace.times) == time_text)
+        # the shared column, held as block text, is what the current grid's
+        # own times format to
+        block = cli_module._WRITE_BLOCK_ROWS
+        cells = [
+            cell
+            for lo in range(0, len(time_text), block)
+            for cell in time_text[lo : lo + block]
+        ]
+        written.append(cells == cli_module._column_text(trace.times))
         write_current(path, trace, time_text)
 
     monkeypatch.setattr(cli_module, "write_current_csv", check_current)
@@ -509,6 +521,39 @@ def test_write_current_csv_overhead_per_row(tmp_path):
     assert peak / n <= 16.0
 
 
+def test_shared_time_column_is_held_as_block_text():
+    n = 100_000
+    times = np.arange(n) / 1e6
+    tracemalloc.start()
+    try:
+        column = cli_module._block_text(times)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    block = cli_module._WRITE_BLOCK_ROWS
+    cells = [cell for lo in range(0, n, block) for cell in column[lo : lo + block]]
+    assert len(column) == n and cells == cli_module._column_text(times)
+    # 8.9 B per row held and 13 at peak, measured with numpy 2.4; one
+    # string per cell held 65 B per row, and 113 while it was formatted
+    assert held / n <= 16.0 and peak / n <= 24.0
+
+
+def test_write_cycles_csv_formats_a_block_at_a_time(tmp_path):
+    spec = StrategySpec(kind=StrategyKind.SNS_RP, fs=2500.0, fx=7000.0)
+    mod = ModulatorConfig(m_index=0.7, f1=50.0, u_dc=24.0)
+    records = schedule(spec, mod, 8.0, 5).records
+    tracemalloc.start()
+    try:
+        cli_module.write_cycles_csv(tmp_path / "cycles.csv", records)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 208 B per cycle measured with numpy 2.4, about 4 MB for one 4096-row
+    # block; whole-run text columns and two blocks' cells alive at once
+    # took 454
+    assert len(records) == 20001 and peak / len(records) <= 300.0
+
+
 # ---------------------------------------------------------------------------
 # memory: full rasters live only until the PSD is estimated
 
@@ -575,8 +620,50 @@ def test_simulate_peak_memory_per_sample(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # keeping the main run's full rasters through its baseline gives 85
-    assert peak / (cfg.duration_s * cfg.sample_rate_hz) <= 48.0
+    # 19 B per sample measured with numpy 2.4, 9 of them the int8 x_a
+    # raster and the float u_ab; holding two float rasters, Welch's power
+    # table and the time column's text gave 25, and keeping the main run's
+    # full rasters through its baseline 85
+    assert peak / (cfg.duration_s * cfg.sample_rate_hz) <= 24.0
+
+
+def _simulate_child_peak_rss(cfg_path, out) -> int:
+    """ru_maxrss in bytes of one `simulate` child, from os.wait4 on it alone."""
+    src = str(Path(cli_module.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    argv = [sys.executable, "-m", "notchpwm.cli", "simulate"]
+    pid = os.posix_spawn(
+        sys.executable,
+        [*argv, "--config", str(cfg_path), "--out", str(out)],
+        {**os.environ, "PYTHONPATH": path},
+        file_actions=[(os.POSIX_SPAWN_OPEN, 2, os.devnull, os.O_WRONLY, 0)],
+    )
+    _, status, usage = os.wait4(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+    return usage.ru_maxrss * 1024  # kilobytes on Linux
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads ru_maxrss in kilobytes")
+def test_simulate_rss_per_simulated_sample(tmp_path):
+    peaks = {}
+    for duration in (1.0, 8.0):
+        cfg_path = write_config(
+            tmp_path / f"{duration}.cfg",
+            duration_s=duration,
+            psd_segment_len=65536,
+            export_window_s=0.1,
+            **SNS_RP_NOTCH,
+        )
+        peaks[duration] = _simulate_child_peak_rss(cfg_path, tmp_path / f"{duration}")
+    # 9.0 B per sample of a longer run, measured on x86-64 Linux (glibc,
+    # numpy 2.4): the int8 x_a raster and the float u_ab; two float rasters
+    # and Welch's power table alive at once gave 17.  The rasters of an 8 s
+    # run (64 MB) are above the 32 MiB that glibc's dynamic mmap threshold
+    # can rise to, so they are mapped and unmapped and its peak is what is
+    # alive; a 4 s run's rasters go on the heap, and the peak then also
+    # counts a freed one
+    slope = (peaks[8.0] - peaks[1.0]) / ((8.0 - 1.0) * 1e6)
+    assert slope <= 10.0
 
 
 def test_main_exit_codes_and_overrides(tmp_path):

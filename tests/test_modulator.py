@@ -76,6 +76,13 @@ def test_clamped_leg_rotates_with_sector():
         assert d[clamped[sector_of(float(theta))]] == 0.0
 
 
+def test_passed_sector_gives_the_computed_sectors_duties():
+    rng = np.random.default_rng(4)
+    boundaries = [k * SECTOR for k in range(6)] + [TWO_PI - 1e-12]
+    for theta in [*rng.uniform(0.0, TWO_PI, 300).tolist(), *boundaries]:
+        assert duty_cycles(CFG, theta, sector_of(theta)) == duty_cycles(CFG, theta)
+
+
 def test_duties_bounded_by_m_index():
     rng = np.random.default_rng(1)
     for m in (0.1, 0.7, 1.0):

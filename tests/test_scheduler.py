@@ -37,6 +37,7 @@ from notchpwm import (
     next_rf,
     next_rp,
     schedule,
+    sector_of,
     sns_rp_position,
 )
 
@@ -456,7 +457,8 @@ def test_schedule_calls_angle_and_duty_laws_once_per_cycle(monkeypatch, spec):
     thetas = [angle_at(MOD, t) for t in result.records.t_m.tolist()]
     assert len(thetas) == result.stats.cycles > 0
     assert calls["angle_at"] == [(MOD, t) for t in result.records.t_m.tolist()]
-    assert calls["duty_cycles"] == [(MOD, theta) for theta in thetas]
+    # the scheduler hands over the sector it already found
+    assert calls["duty_cycles"] == [(MOD, theta, sector_of(theta)) for theta in thetas]
 
 
 @pytest.mark.parametrize("position", list(PulsePosition))
