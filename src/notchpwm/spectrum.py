@@ -13,10 +13,14 @@ unbroken locked chain regardless of its length.
 
 The edge sums are evaluated directly, one complex exponential per edge
 and bin.  Bins are taken a block at a time into one reused buffer of
-about 1 MB, so working memory does not grow with the grid, and each
-bin's full row of edge phasors is summed at once: numpy's pairwise sum
-then runs the same tree for any block size, and the result is
-bit-identical to evaluating the whole grid in one temporary.
+about 1 MB, so working memory does not grow with the grid.  The blocks
+are shared out to the calling thread and one helper thread per further
+CPU the process may run on (its affinity mask), each computing in its own
+slice of that one buffer; numpy releases the GIL in the complex `exp`
+that dominates.  Each bin's full row of edge phasors is summed at once in
+one thread: numpy's pairwise sum then runs the same tree for any block
+size and worker count, and the result is bit-identical to evaluating the
+whole grid in one temporary.
 
 Estimated spectra use Welch's method (Welch, IEEE Trans. Audio
 Electroacoust. 15(2), 1967) on uniformly sampled waveforms.  It is
@@ -31,6 +35,8 @@ with a -200 dB/Hz floor so that exact zeros stay finite.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -47,8 +53,8 @@ _POWER_FLOOR = 1e-20
 # toward the notch width
 NOTCH_THRESHOLD_DB = 6.0
 
-# complex values in the phasor block `_edge_sum` evaluates at a time
-# (1 MB, so a block stays in a core's L2 cache)
+# complex values in the phasor buffer `_edge_sum` allocates and its
+# workers split (1 MB, so each worker's slice stays in its core's L2 cache)
 _EDGE_BLOCK_BUDGET = 1 << 16
 
 # cosine-sum coefficients of the Welch windows: w = sum_k a_k cos(k x)
@@ -78,28 +84,112 @@ def power_to_db(power: np.ndarray) -> np.ndarray:
     return 10.0 * np.log10(np.maximum(np.asarray(power, dtype=float), _POWER_FLOOR))
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _edge_block(rises, falls, freqs, scratch, out) -> None:
+    """Write _edge_sum of a block of bins to `out`, in `scratch` phasors."""
+    w = -2j * np.pi * freqs[:, None]
+    sums = []
+    for times in (rises, falls):
+        z = scratch[: w.size * times.size].reshape(w.size, times.size)
+        np.multiply(w, times, out=z)
+        np.exp(z, out=z)
+        sums.append(z.sum(axis=1))
+    np.subtract(*sums, out=out)
+
+
 def _edge_sum(rises: np.ndarray, falls: np.ndarray, freqs: np.ndarray) -> np.ndarray:
     """sum_m exp(-j 2 pi f b_m) - sum_m exp(-j 2 pi f a_m) at each f.
 
     The phasors are evaluated for a block of bins at a time, in one buffer
-    of about _EDGE_BLOCK_BUDGET values that rises and falls share.  Each
-    bin's whole edge row is summed at once, so numpy's pairwise sum, and
-    with it every bit of the result, does not depend on the block size.
+    of about _EDGE_BLOCK_BUDGET values that rises and falls share.  The
+    calling thread and up to one helper thread per further usable CPU each
+    take a slice of that buffer and pull blocks from one shared queue until
+    it runs dry.  Each bin's whole edge row is summed at once, in one
+    thread, so numpy's pairwise sum, and with it every bit of the result,
+    depends on neither the block size nor the worker count.  If any worker
+    raises, a signal handler in the caller included, the others stop after
+    their current block and are joined before the error reaches the
+    caller; only a helper whose `Thread.start` the exception interrupted
+    is left to stop on its own.
     """
     out = np.empty(freqs.shape, dtype=complex)
     row_len = max(rises.size, falls.size, 1)
-    rows = max(1, _EDGE_BLOCK_BUDGET // row_len)
-    buf = np.empty(min(rows, freqs.size) * row_len, dtype=complex)
-    for lo in range(0, freqs.size, rows):
-        w = -2j * np.pi * freqs[lo : lo + rows, None]
-        sums = []
-        for times in (rises, falls):
-            z = buf[: w.size * times.size].reshape(w.size, times.size)
-            np.multiply(w, times, out=z)
-            np.exp(z, out=z)
-            sums.append(z.sum(axis=1))
-        np.subtract(*sums, out=out[lo : lo + rows])
+    # bins the buffer holds, and so the most workers: a 1-bin grid, or a
+    # row longer than the budget, runs inline
+    rows = max(1, min(_EDGE_BLOCK_BUDGET // row_len, freqs.size))
+    workers = min(_usable_cpus(), rows)
+    share = rows // workers
+    # equal blocks of at most `share` bins, `rounds` for each worker, so
+    # no worker is left with a long last block while the others idle
+    rounds = max(1, -(-freqs.size // (workers * share)))
+    block = max(1, -(-freqs.size // (workers * rounds)))
+    buf = np.empty(workers * share * row_len, dtype=complex)
+    starts = iter(range(0, freqs.size, block))
+    lock = threading.Lock()
+    stop = threading.Event()
+    errors = []
+
+    def work(scratch):
+        while True:
+            with lock:
+                lo = None if stop.is_set() else next(starts, None)
+            if lo is None:
+                return
+            hi = lo + block
+            _edge_block(rises, falls, freqs[lo:hi], scratch, out[lo:hi])
+
+    def helper(scratch, done):
+        try:
+            work(scratch)
+        except BaseException as exc:  # handed to the caller
+            errors.append(exc)
+            stop.set()
+        finally:
+            done.set()
+
+    slices = buf.reshape(workers, -1)
+    started = []
+    try:
+        for scratch in slices[1:]:
+            done = threading.Event()
+            thread = threading.Thread(target=helper, args=(scratch, done))
+            thread.start()
+            started.append((thread, done))
+        work(slices[0])
+    finally:
+        stop.set()
+        _join_all(started)
+    if errors:
+        raise errors[0]
     return out
+
+
+def _join_all(helpers) -> None:
+    """Join each (thread, done event) pair's thread once its event is set.
+
+    An exception raised meanwhile, as a signal handler raises it, does not
+    end the wait; the first is raised once every thread is joined.  The
+    event is what is waited for, because an exception that interrupts
+    `Thread.join` can leave a running thread marked stopped (Python 3.11).
+    """
+    interrupted = None
+    for thread, done in helpers:
+        while True:
+            try:
+                done.wait()
+                thread.join()
+                break
+            except BaseException as exc:
+                interrupted = interrupted or exc
+    if interrupted is not None:
+        raise interrupted
 
 
 def analytic_transform(
@@ -182,7 +272,9 @@ def _pairwise_sum(rows: Iterator[np.ndarray], n: int) -> np.ndarray:
     by n the mean, along the last axis of the arrays stacked as columns,
     bit for bit (checked against numpy 2.4), without holding them at once:
     working memory is 8 accumulators plus one partial sum per split level.
-    The arrays of `rows` are read, never written.
+    The arrays of `rows` are read, never written, and each is read in full
+    before the next is asked for, so `rows` may yield one buffer that it
+    refills every time.
     """
     if n > _PW_BLOCKSIZE:
         half = n // 2
@@ -241,13 +333,20 @@ def welch_psd(
     n_seg = (n - noverlap) // hop
     segments = sliding_window_view(waveform.values, segment_len)[: n_seg * hop : hop]
 
+    windowed = np.empty(segment_len)
+    power = np.empty(segment_len // 2 + 1)
+    scratch = np.empty_like(power)
+
     def powers():
+        # one set of buffers, refilled for every segment
         for seg in segments:
             if detrend:
-                seg = seg - seg.mean()
-            spec = np.fft.rfft(seg * win)
-            power = spec.real**2
-            power += spec.imag**2
+                np.subtract(seg, seg.mean(), out=windowed)
+                seg = windowed
+            np.multiply(seg, win, out=windowed)
+            spec = np.fft.rfft(windowed)
+            np.square(spec.real, out=power)
+            np.add(power, np.square(spec.imag, out=scratch), out=power)
             power[1:-1] *= 2.0
             yield power
 

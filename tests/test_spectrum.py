@@ -2,8 +2,10 @@
 
 import math
 import os
+import signal
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -164,11 +166,19 @@ def _block_rows(budget, rises, falls):
     return max(1, budget // max(rises.size, falls.size, 1))
 
 
+def _cpus(n):
+    """Make `_edge_sum` see n usable CPUs."""
+    return mock.patch.object(spectrum_module, "_usable_cpus", return_value=n)
+
+
 @st.composite
 def edge_sum_cases(draw):
-    """Edge times, a phasor budget, and a grid of 1, block - 1, block or
-    block + 1 bins, or more, that may reach negative frequencies."""
+    """Edge times, a phasor budget, a CPU count, and a grid of 1, block - 1,
+    block or block + 1 bins, or more, that may reach negative frequencies.
+    8 CPUs are more workers than blocks when the budget holds fewer than 8
+    bins or the grid has fewer."""
     budget = draw(st.sampled_from((1, 3, 16, 100, spectrum_module._EDGE_BLOCK_BUDGET)))
+    cpus = draw(st.sampled_from((1, 2, 3, 8)))
     times = st.floats(-10.0, 10.0)
     n_rise = draw(st.integers(0, 60))
     n_fall = draw(st.just(n_rise) | st.integers(0, 60))
@@ -181,19 +191,203 @@ def edge_sum_cases(draw):
     )
     f0 = draw(st.floats(-2e4, 2e4))
     df = draw(st.floats(-50.0, 50.0))
-    return budget, rises, falls, f0 + df * np.arange(n_bins)
+    return budget, cpus, rises, falls, f0 + df * np.arange(n_bins)
 
 
 @settings(max_examples=200, deadline=None)
 @given(edge_sum_cases())
 @example(
-    (spectrum_module._EDGE_BLOCK_BUDGET, np.zeros(0), np.zeros(0), np.array([-7000.0]))
+    (spectrum_module._EDGE_BLOCK_BUDGET, 2, np.zeros(0), np.zeros(0), np.array([-7000.0]))
 )
 def test_edge_sum_matches_whole_grid_oracle(case):
-    budget, rises, falls, freqs = case
-    with mock.patch.object(spectrum_module, "_EDGE_BLOCK_BUDGET", budget):
+    budget, cpus, rises, falls, freqs = case
+    with mock.patch.object(spectrum_module, "_EDGE_BLOCK_BUDGET", budget), _cpus(cpus):
         got = spectrum_module._edge_sum(rises, falls, freqs)
     assert same_bits(got.view(float), whole_grid_edge_sum(rises, falls, freqs).view(float))
+
+
+def sweep_edges():
+    """Phase a's edges of a 0.5 s sns_rp run and the benchmark sweep's
+    200-bin grid around fx."""
+    mod = ModulatorConfig(m_index=0.7, f1=50.0, u_dc=24.0)
+    spec = StrategySpec(kind=StrategyKind.SNS_RP, fs=2500.0, fx=7000.0)
+    rises, falls = edge_times(schedule(spec, mod, 0.5, 0).records, "a")
+    return rises, falls, 7000.0 + np.arange(-100, 100) / 0.5
+
+
+def test_edge_sum_bits_do_not_depend_on_worker_count():
+    # rows of 825 edges, so the budget holds 79 bins, and the 200-bin grid
+    # runs in blocks of 67, 34, 23 or 10 bins on 1, 2, 3 or 7 workers
+    rises, falls, freqs = sweep_edges()
+    want = whole_grid_edge_sum(rises, falls, freqs).view(float)
+    for cpus in (1, 2, 3, 7):
+        with _cpus(cpus):
+            got = spectrum_module._edge_sum(rises, falls, freqs)
+        assert same_bits(got.view(float), want), cpus
+
+
+def test_edge_workers_share_one_budget():
+    # each worker's phasors live in its slice of one buffer the caller
+    # allocated: at most the budget, or one row when a row is longer
+    long_row = np.arange(spectrum_module._EDGE_BLOCK_BUDGET + 7) * 1e-5
+    for rises, falls, freqs in (sweep_edges(), (long_row, long_row, np.arange(1.0, 5.0))):
+        scratch = {}
+        real = spectrum_module._edge_block
+
+        def record(rises_, falls_, freqs_, scratch_, out_):
+            scratch[scratch_.__array_interface__["data"][0]] = scratch_
+            real(rises_, falls_, freqs_, scratch_, out_)
+
+        for cpus in (2, 3, 7):
+            scratch.clear()
+            with _cpus(cpus), mock.patch.object(spectrum_module, "_edge_block", record):
+                spectrum_module._edge_sum(rises, falls, freqs)
+            bases = {id(z.base) for z in scratch.values()}
+            held = sum(z.size for z in scratch.values())
+            assert len(bases) == 1
+            assert held <= max(spectrum_module._EDGE_BLOCK_BUDGET, rises.size, falls.size)
+
+
+def test_edge_sum_leaves_no_thread_running():
+    rises, falls, freqs = sweep_edges()
+    before = threading.active_count()
+    with _cpus(4):
+        spectrum_module._edge_sum(rises, falls, freqs)
+    assert threading.active_count() == before
+
+
+def test_edge_sum_under_thread_switch_stress():
+    # 16 workers on 500 one-bin blocks, switching threads every microsecond:
+    # a block handed out twice or never would leave a bin wrong or unset
+    rng = np.random.default_rng(5)
+    rises = np.sort(rng.uniform(0.0, 0.1, 40))
+    falls = rises + 1e-5
+    freqs = rng.uniform(-2e4, 2e4, 500)
+    want = whole_grid_edge_sum(rises, falls, freqs).view(float)
+    before = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with mock.patch.object(spectrum_module, "_EDGE_BLOCK_BUDGET", 16 * 40), _cpus(16):
+            for _ in range(5):
+                got = spectrum_module._edge_sum(rises, falls, freqs)
+                assert same_bits(got.view(float), want)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == before
+
+
+class HelperFailed(Exception):
+    pass
+
+
+def test_a_helper_error_reaches_the_caller_after_every_join():
+    rises, falls, freqs = sweep_edges()
+    real = spectrum_module._edge_block
+    helper_failed = threading.Event()
+    failed, caller_blocks = [], []
+
+    def fail_in_helpers(*args):
+        if threading.current_thread() is threading.main_thread():
+            # let a helper take a block and raise, and wait until it is done
+            assert helper_failed.wait(10.0)
+            failed[0].join(10.0)
+            assert not failed[0].is_alive()
+            real(*args)
+            caller_blocks.append(args[2].size)
+        else:
+            failed.append(threading.current_thread())
+            helper_failed.set()
+            raise HelperFailed
+
+    before = threading.active_count()
+    with _cpus(4), mock.patch.object(spectrum_module, "_edge_block", fail_in_helpers):
+        with pytest.raises(HelperFailed):
+            spectrum_module._edge_sum(rises, falls, freqs)
+    assert threading.active_count() == before
+    # once a helper failed, the caller finished the block it held, if any,
+    # and took no other
+    assert len(caller_blocks) <= 1
+
+
+class Alarm(Exception):
+    pass
+
+
+def _raise_alarm(signum, frame):
+    raise Alarm
+
+
+def _edge_sum_until_alarm(fake_block, cpus):
+    """Run _edge_sum on `cpus` workers, with `fake_block` for `_edge_block`,
+    until a SIGALRM handler raises in it."""
+    rises, falls, freqs = sweep_edges()
+    previous = signal.signal(signal.SIGALRM, _raise_alarm)
+    try:
+        with _cpus(cpus), mock.patch.object(spectrum_module, "_edge_block", fake_block):
+            with pytest.raises(Alarm):
+                spectrum_module._edge_sum(rises, falls, freqs)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+needs_itimer = pytest.mark.skipif(
+    not hasattr(signal, "setitimer"), reason="needs POSIX interval timers"
+)
+
+
+@needs_itimer
+def test_a_signal_in_the_callers_block_stops_and_joins_the_helpers():
+    # a signal handler's exception, as a timeout raises it, in the middle
+    # of the caller's own block
+    real = spectrum_module._edge_block
+    caller_blocks = []
+
+    def alarm_in_caller(*args):
+        if threading.current_thread() is threading.main_thread():
+            caller_blocks.append(args[2].size)
+            signal.setitimer(signal.ITIMER_REAL, 0.01)
+            threading.Event().wait(10.0)
+        real(*args)
+
+    before = threading.active_count()
+    _edge_sum_until_alarm(alarm_in_caller, 4)
+    assert threading.active_count() == before
+    assert len(caller_blocks) == 1
+
+
+@needs_itimer
+def test_a_signal_in_a_join_still_joins_every_helper():
+    # one helper, so no later join covers for a join cut short
+    real = spectrum_module._edge_block
+
+    def slow_in_helpers(*args):
+        if threading.current_thread() is not threading.main_thread():
+            # the caller drains the queue and waits for the helper
+            threading.Event().wait(0.3)
+        elif not signal.getitimer(signal.ITIMER_REAL)[0]:
+            signal.setitimer(signal.ITIMER_REAL, 0.05)
+        real(*args)
+
+    before = threading.active_count()
+    _edge_sum_until_alarm(slow_in_helpers, 2)
+    assert threading.active_count() == before
+
+
+def test_one_worker_grids_start_no_thread():
+    long_row = np.arange(spectrum_module._EDGE_BLOCK_BUDGET + 1) * 1e-5
+    cases = (
+        (*sweep_edges()[:2], np.array([7000.0])),  # cancellation_residual's grid
+        (long_row, long_row[:10], np.array([50.0, 7000.0])),  # rows past the budget
+    )
+    for rises, falls, freqs in cases:
+        with _cpus(8), mock.patch.object(
+            spectrum_module.threading, "Thread", wraps=threading.Thread
+        ) as made:
+            got = spectrum_module._edge_sum(rises, falls, freqs)
+        made.assert_not_called()
+        assert same_bits(got.view(float), whole_grid_edge_sum(rises, falls, freqs).view(float))
 
 
 def test_edge_sum_of_rows_longer_than_the_budget():
@@ -214,13 +408,15 @@ def test_analytic_transform_working_memory():
     freqs = 7000.0 + np.arange(-2048, 2048) / 2.0
     tracemalloc.start()
     try:
-        x = analytic_transform(records, "a", freqs)
+        with _cpus(2):
+            x = analytic_transform(records, "a", freqs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert len(records) == 5001 and x.size == 4096
-    # one block of 2**16 phasors (1 MB) plus bin-sized results: 1.2 MB
-    # measured; blocks of 256 bins of all 3301 edges peaked at 27 MB
+    # one buffer of 2**16 phasors (1 MB), split between 2 workers, plus
+    # bin-sized results: 1.2 MB measured; blocks of 256 bins of all 3301
+    # edges peaked at 27 MB
     assert peak <= 2e6
 
 
@@ -366,17 +562,30 @@ def test_welch_rejects_unknown_window_and_detrend():
         welch_psd(wave, 1024, detrend="linear")
 
 
-def test_import_loads_no_scipy():
+def modules_imported_under(package):
+    """Modules of `package` that `import notchpwm, notchpwm.cli` loads in a
+    fresh interpreter."""
     code = (
         "import sys, notchpwm, notchpwm.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        f"print(sorted(m for m in sys.modules if m == {package!r} "
+        f"or m.startswith({package + '.'!r})))"
     )
     src = str(Path(notchpwm.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_import_loads_no_scipy():
+    assert modules_imported_under("scipy") == "[]"
+
+
+def test_import_loads_no_concurrent_futures():
+    # the edge sum's workers are plain threads; concurrent.futures would
+    # add about 7 ms to every CLI run's import
+    assert modules_imported_under("concurrent.futures") == "[]"
 
 
 def test_welch_records_its_settings():
