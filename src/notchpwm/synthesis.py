@@ -200,8 +200,8 @@ def line_voltage(
     there and no other array is allocated.
     """
     out = np.subtract(x_a, x_b, out=out, dtype=float)
-    out *= u_dc
-    return out
+    # u_dc first, as in u_dc * (x_a - x_b): a NaN product keeps u_dc's NaN
+    return np.multiply(u_dc, out, out=out)
 
 
 def voltage_segments(
