@@ -25,7 +25,7 @@ import sys
 from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence, TextIO, get_type_hints
+from typing import Iterable, Optional, Sequence, TextIO, get_type_hints
 
 import numpy as np
 
@@ -367,9 +367,7 @@ def _fmt(value) -> str:
         return ""
     if isinstance(value, bool):
         return "1" if value else "0"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return str(value)  # a float's str is its repr
 
 
 def _open_out(path: Path) -> TextIO:
@@ -381,66 +379,49 @@ def _open_out(path: Path) -> TextIO:
 _WRITE_BLOCK_ROWS = 1 << 12
 
 
-def _column_text(values) -> list[str]:
-    """repr of each float64 value, formatting each distinct bit pattern once.
+def _column_text(values: np.ndarray) -> list[str]:
+    """The text of each cell of a 1-D column, by its dtype.
 
-    Keying on bits, not values, keeps -0.0 apart from 0.0.
+    float64 cells are `repr`, bool cells 1 or 0, integer cells the decimal
+    or empty where negative (k's -1: no lock integer), and bytes (`S`)
+    cells are text formatted earlier.  Each distinct value is formatted
+    once, as `_fmt` does; floats are keyed on bits, keeping -0.0 apart.
     """
-    values = np.ascontiguousarray(values, dtype=float)
-    bits, index = np.unique(values.view(np.uint64), return_inverse=True)
-    text = np.array(list(map(repr, bits.view(float).tolist())), dtype=object)
-    return text[index].tolist()
+    kind = values.dtype.kind
+    if kind == "S":  # a newline after each fixed-width cell, NUL padding dropped
+        lines = np.full((values.size, values.itemsize + 1), ord("\n"), np.uint8)
+        lines[:, :-1] = np.ascontiguousarray(values).view((np.uint8, values.itemsize))
+        return lines.tobytes().decode().replace("\0", "").split("\n")[:-1]
+    keys = values.view(np.uint64) if kind == "f" else values
+    distinct, index = np.unique(keys, return_inverse=True)
+    distinct = distinct.view(values.dtype).tolist()
+    if kind == "f":
+        text = map(repr, distinct)  # _fmt's rule, without its type tests
+    else:
+        text = (_fmt(None if v < 0 else v) for v in distinct)
+    return np.array(list(text), dtype=object)[index].tolist()
 
 
-class _Cells:
-    """A text column whose cells are made one block of rows at a time.
-
-    The cells of the rows `rows` (a slice) are `fmt(values[rows])`.
-    """
-
-    def __init__(self, values, fmt: Callable[..., list[str]]):
-        self.values, self.fmt = values, fmt
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __getitem__(self, rows: slice) -> list[str]:
-        return self.fmt(self.values[rows])
-
-
-def _block_text(values: np.ndarray) -> _Cells:
+def _block_text(values: np.ndarray) -> np.ndarray:
     """A float column formatted once, for writing more than once.
 
-    Its text is held as one newline-joined string per _WRITE_BLOCK_ROWS
-    rows (about 10 bytes per row for sample times), not as one string
-    object per cell; `_write_columns` splits one block at a time.
+    Its cells are `_column_text`'s, made _WRITE_BLOCK_ROWS at a time and
+    held as one bytes (`S`) array, about 8 B per row for sample times at
+    1 MHz, not as one string object per cell.
     """
     blocks = [
-        "\n".join(_column_text(values[lo : lo + _WRITE_BLOCK_ROWS]))
+        np.array(_column_text(values[lo : lo + _WRITE_BLOCK_ROWS]), dtype="S")
         for lo in range(0, values.size, _WRITE_BLOCK_ROWS)
     ]
-    return _Cells(
-        range(values.size),
-        lambda rows: blocks[rows.start // _WRITE_BLOCK_ROWS].split("\n"),
-    )
+    return np.concatenate([np.array([], dtype="S"), *blocks])  # 0 rows too
 
 
-def _rows_text(columns: list, rows: slice) -> str:
-    """CSV lines of the rows `rows` of the columns."""
-    cells = [
-        _column_text(col[rows]) if isinstance(col, np.ndarray) else col[rows]
-        for col in columns
-    ]
-    return "\n".join(map(",".join, zip(*cells))) + "\n"
+def _write_columns(path: Path, header: str, columns: Iterable[np.ndarray]) -> None:
+    """Write equal-length 1-D arrays as CSV columns under a header.
 
-
-def _write_columns(path: Path, header: str, columns: Iterable) -> None:
-    """Write equal-length columns as CSV rows under a header.
-
-    A column is a float array, which `_column_text` formats, the list of
-    its cells' text, or `_Cells`.  Rows are formatted and written
-    _WRITE_BLOCK_ROWS at a time, and a block's cells are freed before the
-    next block's are made, so the text of the whole file is never held.
+    `_column_text` formats the rows _WRITE_BLOCK_ROWS at a time, and a
+    block's cells are freed before the next block's are made, so the text
+    of the whole file is never held.
     """
     columns = list(columns)
     lengths = sorted({len(col) for col in columns})
@@ -449,36 +430,28 @@ def _write_columns(path: Path, header: str, columns: Iterable) -> None:
     with _open_out(path) as fh:
         fh.write(header)
         for lo in range(0, lengths[0] if lengths else 0, _WRITE_BLOCK_ROWS):
-            fh.write(_rows_text(columns, slice(lo, lo + _WRITE_BLOCK_ROWS)))
+            cells = [_column_text(col[lo : lo + _WRITE_BLOCK_ROWS]) for col in columns]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+            del cells  # before the next block's cells are made
 
 
 def write_cycles_csv(path: Path, records: Sequence[CycleRecord]) -> None:
     """cycles.csv, one row per cycle; k is empty where no lock was drawn."""
     cycles = Schedule.from_records(records)
-
-    def ints(block) -> list[str]:
-        return list(map(str, block.tolist()))
-
-    def ks(block) -> list[str]:
-        return ["" if k < 0 else str(k) for k in block.tolist()]
-
-    def flags(block) -> list[str]:
-        return [_fmt(f) for f in block.tolist()]
-
     _write_columns(
         path,
         "# notchpwm cycles v1\n"
         "m,t_m_s,ts_s,sector,d_a,d_b,d_c,r_a,r_b,r_c,"
         "k_a,k_b,k_c,fallback_a,fallback_b,fallback_c\n",
         (
-            _Cells(np.arange(1, len(cycles) + 1), ints),
+            np.arange(1, len(cycles) + 1),
             cycles.t_m,
             cycles.ts,
-            _Cells(cycles.sector, ints),
+            cycles.sector,
             *cycles.duty.T,
             *cycles.position.T,
-            *(_Cells(col, ks) for col in cycles.k.T),
-            *(_Cells(col, flags) for col in cycles.fallback.T),
+            *cycles.k.T,
+            *cycles.fallback.T,
         ),
     )
 
@@ -493,7 +466,7 @@ def write_psd_csv(path: Path, psd: Spectrum, baseline: Optional[Spectrum] = None
     _write_columns(path, header, columns)
 
 
-def write_waveform_csv(path: Path, artifacts: RunArtifacts, time_text: _Cells) -> None:
+def write_waveform_csv(path: Path, artifacts: RunArtifacts, time_text: np.ndarray) -> None:
     """waveform.csv of the export window; `time_text` is its time column."""
     waves = (*artifacts.samples, artifacts.u_ab)
     _write_columns(
@@ -503,7 +476,7 @@ def write_waveform_csv(path: Path, artifacts: RunArtifacts, time_text: _Cells) -
     )
 
 
-def write_current_csv(path: Path, trace: CurrentTrace, time_text: _Cells) -> None:
+def write_current_csv(path: Path, trace: CurrentTrace, time_text: np.ndarray) -> None:
     """current.csv; `time_text` is `trace.times` through `_block_text`."""
     _write_columns(
         path,
@@ -675,7 +648,7 @@ def run_flatness(cfg: ScenarioConfig) -> list[tuple[float, float, float]]:
     _write_columns(
         out / "flatness.csv",
         "# notchpwm flatness v1\ncenter_hz,std_db,peak_to_mean_db\n",
-        map(_column_text, zip(*rows)),
+        np.array(rows, dtype=float).T,
     )
     write_report(
         out / "report.txt",

@@ -59,8 +59,8 @@ from .modulator import (
 
 PHASES = ("a", "b", "c")
 
-# absolute slop allowed before a computed position/frequency is treated as
-# a bug rather than roundoff
+# slop allowed before a solved position or frequency is treated as a bug
+# rather than roundoff: absolute up to a bound of 1, relative above it
 _BOUND_TOL = 1e-9
 
 # most cycles one schedule() call may generate: a cycle's columns hold
@@ -392,37 +392,18 @@ def sns_rp_position(
     return (k / fx) * fs + r_prev + d_prev - 1.0
 
 
-def _checked_position(r: float, d_next: float, context: str) -> float:
-    hi = 1.0 - d_next
-    if r < 0.0:
-        if r >= -_BOUND_TOL:
-            return 0.0
-        raise OutOfBandError(f"{context}: position {r} below 0")
-    if r > hi:
-        if r <= hi + _BOUND_TOL:
-            return hi
-        raise OutOfBandError(f"{context}: position {r} above {hi}")
-    return r
+def _checked(value: float, lo: float, hi: float, context: str) -> float:
+    """A solved value snapped into [lo, hi] when outside by roundoff only.
 
-
-def _checked_freq(
-    fs: float, fs_min: Optional[float], fs_max: Optional[float], context: str
-) -> float:
-    """fs snapped into [fs_min, fs_max] when outside by roundoff only.
-
-    A missing limit is not checked; violations beyond roundoff indicate a
-    k-range bug and raise OutOfBandError.  NaN fails both comparisons and
-    raises too.
+    Beyond _BOUND_TOL (relative to a bound above 1 in magnitude) a k-range
+    bug is at fault and OutOfBandError is raised, also for NaN.
     """
-    if fs_min is not None and not fs >= fs_min:
-        if fs >= fs_min * (1.0 - _BOUND_TOL):
-            return fs_min
-        raise OutOfBandError(f"{context}: solved fs {fs} below band [{fs_min}, {fs_max}]")
-    if fs_max is not None and not fs <= fs_max:
-        if fs <= fs_max * (1.0 + _BOUND_TOL):
-            return fs_max
-        raise OutOfBandError(f"{context}: solved fs {fs} above band [{fs_min}, {fs_max}]")
-    return fs
+    if lo <= value <= hi:
+        return value
+    bound = min(max(value, lo), hi)
+    if not abs(value - bound) <= _BOUND_TOL * max(1.0, abs(bound)):
+        raise OutOfBandError(f"{context}: solved value {value} outside [{lo}, {hi}]")
+    return bound
 
 
 def feasibility_min_fx(
@@ -467,17 +448,13 @@ def next_freq_sns_rf_rp(
     r_next: float,
     d_next: float,
     k: int,
-    fs_min: Optional[float] = None,
-    fs_max: Optional[float] = None,
 ) -> float:
     """Next switching frequency that realizes the lock for a given k.
 
-    When band limits are passed the result is validated against them
-    (violations beyond roundoff indicate a k-range bug and raise
-    OutOfBandError).
+    A closed form, in the band for k in `k_range_sns_rf_rp_freq`'s range.
     """
     denom = k / fx + r_prev / fs_prev - 1.0 / fs_prev
-    return _checked_freq((r_next + d_next) / denom, fs_min, fs_max, "sns_rf_rp")
+    return (r_next + d_next) / denom
 
 
 def k_range_sns_rf_rp_pos(
@@ -509,12 +486,12 @@ def next_position_sns_rf_rp(
 ) -> float:
     """Next pulse position that realizes the lock across a frequency change.
 
-    With fs_next == fs_prev this reduces exactly to the constant-frequency
-    FALL_AFTER_RISE recursion.
+    A closed form, in [0, 1 - d_next] for k in `k_range_sns_rf_rp_pos`'s
+    range.  With fs_next == fs_prev it reduces exactly to the
+    constant-frequency FALL_AFTER_RISE recursion.
     """
     ratio = fs_next / fs_prev
-    r = (k / fx) * fs_next + ratio * r_prev - d_next - ratio
-    return _checked_position(r, d_next, "sns_rf_rp")
+    return (k / fx) * fs_next + ratio * r_prev - d_next - ratio
 
 
 # ---------------------------------------------------------------------------
@@ -609,11 +586,12 @@ def schedule(
     order per cycle is fixed (banded frequency draw first, then phases
     a, b, c), so a run is fully determined by the arguments.
 
-    Every solved value goes through one lock step.  Per phase, a zero-duty
-    cycle emits no pulse and the lock chain restarts at the next pulse
-    (counted in chain_restarts); an empty k range falls back to a plain
-    uniform position or frequency draw for that cycle (counted in
-    fallbacks).
+    Every solved value goes through one lock step, which checks it against
+    its position range or band (OutOfBandError beyond roundoff).  Per
+    phase, a zero-duty cycle emits no pulse and the lock chain restarts at
+    the next pulse (counted in chain_restarts); an empty k range falls
+    back to a plain uniform position or frequency draw for that cycle
+    (counted in fallbacks).
 
     Raises ConfigError, before any cycle is generated, for an invalid
     spec, a negative or non-finite duration, or a run that would need
@@ -679,8 +657,7 @@ def schedule(
             return k_range_sns_rp(fx, fs, r_prev[i], d, method, d_prev[i])
 
         def pos_solve(i, d, k):
-            r = sns_rp_position(fx, fs, r_prev[i], d_prev[i], d, method, k)
-            return _checked_position(r, d, "sns_rp")
+            return sns_rp_position(fx, fs, r_prev[i], d_prev[i], d, method, k)
 
     elif kind is StrategyKind.SNS_RF_RP:
 
@@ -696,9 +673,7 @@ def schedule(
             )
 
         def freq_solve(i, d, k):
-            return next_freq_sns_rf_rp(
-                fx, fs_prev, r_prev[i], pos[i], d, k, fs_min, fs_max
-            )
+            return next_freq_sns_rf_rp(fx, fs_prev, r_prev[i], pos[i], d, k)
 
     elif kind is StrategyKind.FIXED_POS:
         position = strategy.fixed_position
@@ -710,15 +685,19 @@ def schedule(
             )
 
         def freq_solve(i, d, k):
-            f = fixed_position_next_freq(position, method, fx, fs_prev, d_prev[i], d, k)
-            return _checked_freq(f, fs_min, fs_max, "fixed_pos")
+            return fixed_position_next_freq(
+                position, method, fx, fs_prev, d_prev[i], d, k
+            )
+
+    context = kind.value
 
     def lock(i, d, lo, hi, k_range, solve):
         """Phase i's value solved by a lock law, or a plain draw on [lo, hi].
 
         The plain draw stands in when the phase has no chain, in the run's
         first cycle or after a zero-duty cycle (the chain restarts here),
-        and when the k range is empty (a fallback).
+        and when the k range is empty (a fallback).  A solved value is
+        checked against [lo, hi].
         """
         if d_prev[i] <= 0.0:
             if m > 1:
@@ -730,7 +709,7 @@ def schedule(
             fb[i] = True
             return uniform(lo, hi)
         k = kk[i] = randint(*kr)
-        return solve(i, d, k)
+        return _checked(solve(i, d, k), lo, hi, context)
 
     t = 0.0
     m = 0

@@ -96,6 +96,7 @@ def chain_rf_rp(variant, n, seed, fx=7000.0, fs_min=1500.0, fs_max=3500.0):
                     break
             k = rng.randint(*kr)
             r = next_position_sns_rf_rp(fx, fs, fs_next, r, d_next, k)
+            assert -1e-9 <= r <= 1.0 - d_next + 1e-9
         else:
             while True:
                 d_next = rng.uniform(0.1, 0.9)
@@ -104,7 +105,8 @@ def chain_rf_rp(variant, n, seed, fx=7000.0, fs_min=1500.0, fs_max=3500.0):
                 if kr is not None:
                     break
             k = rng.randint(*kr)
-            fs_next = next_freq_sns_rf_rp(fx, fs, r, r_next, d_next, k, fs_min, fs_max)
+            fs_next = next_freq_sns_rf_rp(fx, fs, r, r_next, d_next, k)
+            assert fs_min * (1.0 - 1e-9) <= fs_next <= fs_max * (1.0 + 1e-9)
             r = r_next
         fs = fs_next
         d = d_next

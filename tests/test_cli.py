@@ -419,15 +419,13 @@ def test_current_and_waveform_share_one_time_column(tmp_path, monkeypatch, setti
     write_current = cli_module.write_current_csv
 
     def check_current(path, trace, time_text):
-        # the shared column, held as block text, is what the current grid's
-        # own times format to
-        block = cli_module._WRITE_BLOCK_ROWS
-        cells = [
-            cell
-            for lo in range(0, len(time_text), block)
-            for cell in time_text[lo : lo + block]
-        ]
-        written.append(cells == cli_module._column_text(trace.times))
+        # the shared column, held as bytes, is what the current grid's own
+        # times format to
+        cells = cli_module._column_text(time_text)
+        written.append(
+            time_text.dtype.kind == "S"
+            and cells == cli_module._column_text(trace.times)
+        )
         write_current(path, trace, time_text)
 
     monkeypatch.setattr(cli_module, "write_current_csv", check_current)
@@ -443,6 +441,18 @@ def test_current_and_waveform_share_one_time_column(tmp_path, monkeypatch, setti
     ]
 
 
+def test_export_window_below_one_sample_writes_header_only(tmp_path):
+    out = tmp_path / "out"
+    cfg_path = write_config(tmp_path / "run.cfg", out_dir=out, export_window_s=1e-9)
+    run_simulate(parse_config(cfg_path))
+    assert (out / "waveform.csv").read_text() == (
+        "# notchpwm waveform v1\ntime_s,x_a,x_b,x_c,u_ab_v\n"
+    )
+    assert (out / "current.csv").read_text() == (
+        "# notchpwm current v1\ntime_s,i_a_amps\n"
+    )
+
+
 # any float64 bit pattern, with the special values drawn often
 _specials = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.2250738585072e-308, 1.0, 24.0]
 _bits = st.integers(0, 2**64 - 1) | st.sampled_from(
@@ -450,27 +460,60 @@ _bits = st.integers(0, 2**64 - 1) | st.sampled_from(
 )
 
 
+def _fmt_cell(value) -> str:
+    """Oracle: one cell's text, by the type `tolist` gives it."""
+    if isinstance(value, bytes):
+        return value.decode()
+    if isinstance(value, int) and value < 0:
+        return ""  # k's -1: no lock integer
+    return cli_module._fmt(value)
+
+
+def _column_of(dtype, n):
+    """Hypothesis strategy for one n-row column of the given dtype."""
+    if dtype == "float64":
+        return st.lists(_bits, min_size=n, max_size=n).map(
+            lambda bits: np.array(bits, dtype=np.uint64).view(float)
+        )
+    if dtype == "int64":
+        values = st.integers(-(2**63), 2**63 - 1) | st.integers(-3, 12)
+        return st.lists(values, min_size=n, max_size=n).map(
+            lambda ints: np.array(ints, dtype=np.int64)
+        )
+    if dtype == "bool":
+        return st.lists(st.booleans(), min_size=n, max_size=n).map(
+            lambda flags: np.array(flags, dtype=bool)
+        )
+    # text formatted earlier: any cell text but a comma or a line break
+    text = st.text("0123456789.e+-nainf", max_size=24).map(str.encode)
+    return st.lists(text, min_size=n, max_size=n).map(
+        lambda cells: np.array(cells, dtype="S")
+    )
+
+
+_dtypes = st.sampled_from(("float64", "int64", "bool", "bytes"))
+
+
 @hypothesis.settings(max_examples=300, deadline=None)
 @given(
     st.integers(0, 40).flatmap(
         lambda n: st.lists(
-            st.lists(_bits, min_size=n, max_size=n),
-            min_size=1,
-            max_size=4,
+            _dtypes.flatmap(lambda dtype: _column_of(dtype, n)), min_size=1, max_size=4
         )
     )
 )
 def test_write_columns_matches_repr_per_cell(tmp_path_factory, columns):
-    columns = [np.array(col, dtype=np.uint64).view(float) for col in columns]
     path = tmp_path_factory.getbasetemp() / "columns.csv"
     header = "# columns\n"
-    cli_module._write_columns(path, header, map(cli_module._column_text, columns))
-    assert path.read_bytes() == repr_columns(header, columns).encode()
+    cli_module._write_columns(path, header, columns)
+    rows = zip(*(map(_fmt_cell, col.tolist()) for col in columns))
+    body = "".join(",".join(row) + "\n" for row in rows)
+    assert path.read_bytes() == (header + body).encode()
 
 
 def test_write_columns_rejects_unequal_columns(tmp_path):
     with pytest.raises(ValueError):
-        cli_module._write_columns(tmp_path / "c.csv", "", [["1.0", "2.0"], ["3.0"]])
+        cli_module._write_columns(tmp_path / "c.csv", "", [np.ones(2), np.ones(1)])
     assert not (tmp_path / "c.csv").exists()
 
 
@@ -488,11 +531,11 @@ def test_write_columns_rejects_unequal_columns(tmp_path):
 def test_write_columns_in_row_blocks_matches_repr_per_cell(
     tmp_path_factory, columns, block_rows
 ):
-    # each column is passed as a float array or as its text
+    # each column is passed as a float array or as its text in bytes
     values = [np.array(col, dtype=np.uint64).view(float) for col, _ in columns]
     passed = [
-        col if as_array else cli_module._column_text(col)
-        for col, (_, as_array) in zip(values, columns)
+        col if as_floats else np.array(list(map(repr, col.tolist())), dtype="S")
+        for col, (_, as_floats) in zip(values, columns)
     ]
     path = tmp_path_factory.getbasetemp() / "blocks.csv"
     header = "# columns\n"
@@ -506,7 +549,7 @@ def test_write_current_csv_overhead_per_row(tmp_path):
     times = np.arange(n) / 1e6
     values = np.cumsum(np.random.default_rng(3).normal(size=n))
     trace = CurrentTrace(times=times, values=values)
-    time_text = cli_module._column_text(times)
+    time_text = cli_module._block_text(times)
     path = tmp_path / "current.csv"
     tracemalloc.start()
     try:
@@ -516,8 +559,8 @@ def test_write_current_csv_overhead_per_row(tmp_path):
         tracemalloc.stop()
     header = "# notchpwm current v1\ntime_s,i_a_amps\n"
     assert path.read_bytes() == repr_columns(header, (times, values)).encode()
-    # one block of _WRITE_BLOCK_ROWS rows is formatted at a time: 8.9 B per
-    # row measured; joining the whole body at once took 186
+    # one block of _WRITE_BLOCK_ROWS rows is formatted at a time: 10.4 B
+    # per row measured with numpy 2.4; joining the whole body at once took 186
     assert peak / n <= 16.0
 
 
@@ -530,11 +573,11 @@ def test_shared_time_column_is_held_as_block_text():
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    block = cli_module._WRITE_BLOCK_ROWS
-    cells = [cell for lo in range(0, n, block) for cell in column[lo : lo + block]]
-    assert len(column) == n and cells == cli_module._column_text(times)
-    # 8.9 B per row held and 13 at peak, measured with numpy 2.4; one
-    # string per cell held 65 B per row, and 113 while it was formatted
+    assert column.dtype.kind == "S" and len(column) == n
+    assert cli_module._column_text(column) == cli_module._column_text(times)
+    # 8.05 B per row held (an S8 array) and 16.1 at peak, while the
+    # formatted blocks are joined, measured with numpy 2.4; one string per
+    # cell held 65 B per row, and 113 while it was formatted
     assert held / n <= 16.0 and peak / n <= 24.0
 
 
@@ -548,7 +591,7 @@ def test_write_cycles_csv_formats_a_block_at_a_time(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # 208 B per cycle measured with numpy 2.4, about 4 MB for one 4096-row
+    # 179 B per cycle measured with numpy 2.4, about 4 MB for one 4096-row
     # block; whole-run text columns and two blocks' cells alive at once
     # took 454
     assert len(records) == 20001 and peak / len(records) <= 300.0

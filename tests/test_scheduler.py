@@ -260,8 +260,31 @@ def test_next_freq_round_trip_reproduces_position():
 
 
 def test_next_freq_out_of_band_raises():
+    # k = 3 is outside the worked example's range (4, 4): the law itself
+    # is a closed form, and the lock step's check rejects its value
+    fs = next_freq_sns_rf_rp(7000.0, 2500.0, 0.2, 0.3, 0.4, 3)
+    assert not 1500.0 <= fs <= 3500.0
     with pytest.raises(OutOfBandError):
-        next_freq_sns_rf_rp(7000.0, 2500.0, 0.2, 0.3, 0.4, 3, 1500.0, 3500.0)
+        scheduler_module._checked(fs, 1500.0, 3500.0, "sns_rf_rp")
+
+
+def test_bound_check_snaps_roundoff_only():
+    checked = scheduler_module._checked
+    # positions: 1e-9 absolute slack at bounds of at most 1 in magnitude
+    assert checked(0.25, 0.0, 0.6, "p") == 0.25
+    assert checked(-1e-9, 0.0, 0.6, "p") == 0.0
+    assert checked(0.6 + 1e-9, 0.0, 0.6, "p") == 0.6
+    for r in (-2e-9, 0.6 + 2e-9):
+        with pytest.raises(OutOfBandError):
+            checked(r, 0.0, 0.6, "p")
+    # frequencies: 1e-9 of the bound itself
+    assert checked(1500.0 * (1.0 - 0.9e-9), 1500.0, 3500.0, "f") == 1500.0
+    assert checked(3500.0 * (1.0 + 0.9e-9), 1500.0, 3500.0, "f") == 3500.0
+    for fs in (1500.0 * (1.0 - 1.1e-9), 3500.0 * (1.0 + 1.1e-9)):
+        with pytest.raises(OutOfBandError):
+            checked(fs, 1500.0, 3500.0, "f")
+    with pytest.raises(OutOfBandError, match="sns_rp"):
+        checked(math.nan, 0.0, 0.6, "sns_rp")
 
 
 def test_pos_direction_k_range_worked_example():
@@ -586,6 +609,33 @@ def test_schedule_bookkeeping_matches_records():
                 if prev.duty[i] == 0.0 and cur.duty[i] > 0.0
             )
             assert res.stats.chain_restarts[i] == transitions
+
+
+@pytest.mark.parametrize(
+    "spec, k_range",
+    [
+        (spec_for(StrategyKind.SNS_RP), "k_range_sns_rp"),
+        (spec_for(StrategyKind.SNS_RF_RP), "k_range_sns_rf_rp_pos"),
+        (
+            spec_for(
+                StrategyKind.SNS_RF_RP,
+                sns_rf_rp_variant=SnsRfRpVariant.FREQ_FROM_POSITION,
+            ),
+            "k_range_sns_rf_rp_freq",
+        ),
+        (spec_for(StrategyKind.FIXED_POS), "fixed_position_k_range"),
+    ],
+)
+def test_schedule_rejects_a_k_range_one_too_wide(monkeypatch, spec, k_range):
+    exact = getattr(scheduler_module, k_range)
+
+    def one_too_wide(*args):
+        kr = exact(*args)
+        return None if kr is None else (kr[0], kr[1] + 1)
+
+    monkeypatch.setattr(scheduler_module, k_range, one_too_wide)
+    with pytest.raises(OutOfBandError, match=spec.kind.value):
+        schedule(spec, MOD, 0.2, 4)
 
 
 def test_schedule_high_modulation_falls_back():
