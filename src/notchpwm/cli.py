@@ -227,9 +227,7 @@ def _validate_scenario(cfg: ScenarioConfig) -> None:
             f"sample_rate_hz {cfg.sample_rate_hz:g} gives fewer than "
             f"{MIN_SAMPLES_PER_CYCLE:g} samples per cycle at {fs_top:g} Hz switching"
         )
-    # the last cycle starts before duration_s and lasts at most 1 / fs_low
-    fs_low = min(f for f in (cfg.fs_hz, cfg.fs_min_hz) if f is not None)
-    most_samples = int((cfg.duration_s + 1.0 / fs_low) * cfg.sample_rate_hz) + 1
+    most_samples = _most_samples(cfg)
     if most_samples > MAX_SAMPLES:
         raise ConfigError(
             f"a {cfg.duration_s:g} s run at {cfg.sample_rate_hz:g} Hz needs up to "
@@ -240,6 +238,13 @@ def _validate_scenario(cfg: ScenarioConfig) -> None:
             f"psd_segment_len {cfg.psd_segment_len} is longer than a "
             f"{cfg.duration_s:g} s run can sample (at most {most_samples})"
         )
+
+
+def _most_samples(cfg: ScenarioConfig) -> int:
+    """Most samples per phase that a run of cfg, or of its baseline, rasters."""
+    # the last cycle starts before duration_s and lasts at most 1 / fs_low
+    fs_low = min(f for f in (cfg.fs_hz, cfg.fs_min_hz) if f is not None)
+    return int((cfg.duration_s + 1.0 / fs_low) * cfg.sample_rate_hz) + 1
 
 
 def strategy_spec(cfg: ScenarioConfig) -> StrategySpec:
@@ -290,9 +295,9 @@ class RunArtifacts:
     `samples` (x_a, x_b, x_c) and `u_ab` hold only the export window that
     waveform.csv writes: the first round(export_window_s * sample_rate_hz)
     samples of the run, or all of them in a shorter run.  Each is an array
-    of its own, not a view, so no full raster outlives the run.  While a
-    run is sampled, at most one full float raster (8 bytes per sample) is
-    alive, next to x_a's raster kept as int8 until u_ab is formed in x_b's.
+    of its own, not a view of the command's one float raster (8 bytes per
+    sample), which every phase of every run is sampled into in turn; x_a's
+    levels are kept beside it as int8 until u_ab is formed there.
     """
 
     result: ScheduleResult
@@ -303,9 +308,9 @@ class RunArtifacts:
 
 
 def run_strategy(
-    spec: StrategySpec, modcfg: ModulatorConfig, cfg: ScenarioConfig
+    spec: StrategySpec, modcfg: ModulatorConfig, cfg: ScenarioConfig, raster: np.ndarray
 ) -> RunArtifacts:
-    """Schedule, synthesize, sample, and estimate the line-voltage PSD."""
+    """Schedule, synthesize, sample into `raster`, and estimate the PSD of u_ab."""
     result = schedule(spec, modcfg, cfg.duration_s, cfg.seed)
     trains = tuple(pulse_train(result.records, p) for p in PHASES)
     rate = cfg.sample_rate_hz
@@ -317,14 +322,14 @@ def run_strategy(
 
     def sampled(train: PulseTrain) -> np.ndarray:
         try:
-            return sample(train, rate).values
+            return sample(train, rate, out=raster).values
         except RateTooLowError as exc:
             raise ConfigError(str(exc)) from exc
 
-    # at most one full float raster (8 bytes per sample) is alive at a
-    # time: x_a's levels are exactly 0 and 1, so it is kept as int8 once its
-    # window is copied out; u_ab is written over x_b's raster, and phase c
-    # is sampled only after u_ab's last full-length use
+    # every phase is sampled into `raster`: x_a's levels are exactly 0 and
+    # 1, so they are kept as int8 once its window is copied out; u_ab is
+    # formed in x_b's samples, and phase c is sampled only after u_ab's last
+    # full-length use
     x_a = sampled(trains[0])
     x_a, levels_a = window(x_a), x_a.astype(np.int8)
     u_ab = sampled(trains[1])
@@ -548,7 +553,7 @@ def _phase_a_current(
 
 
 def _run_configured(
-    cfg: ScenarioConfig,
+    cfg: ScenarioConfig, raster: np.ndarray
 ) -> tuple[Path, ModulatorConfig, RunArtifacts, list[str]]:
     """Run the configured strategy and print its warnings to stderr.
 
@@ -556,7 +561,7 @@ def _run_configured(
     warnings for report.txt.
     """
     modcfg = modulator_config(cfg)
-    artifacts = run_strategy(strategy_spec(cfg), modcfg, cfg)
+    artifacts = run_strategy(strategy_spec(cfg), modcfg, cfg, raster)
     warnings = _run_warnings(cfg, artifacts)
     for text in warnings:
         print(f"warning: {text}", file=sys.stderr)
@@ -568,9 +573,10 @@ def _scored(
     modcfg: ModulatorConfig,
     artifacts: RunArtifacts,
     base_spec: StrategySpec,
+    raster: np.ndarray,
 ) -> tuple[NotchReport, Spectrum]:
     """Notch report of the run against a same-seed baseline, and its PSD."""
-    base = run_strategy(base_spec, modcfg, cfg)
+    base = run_strategy(base_spec, modcfg, cfg, raster)
     report = notch_report(artifacts.psd, base.psd, cfg.fx_hz, cfg.half_band_hz)
     return report, base.psd
 
@@ -582,12 +588,14 @@ def run_simulate(cfg: ScenarioConfig) -> Optional[NotchReport]:
     is run internally to score the notch in report.txt; psd.csv carries
     the strategy's own PSD only.
     """
-    out, modcfg, artifacts, warnings = _run_configured(cfg)
+    raster = np.empty(_most_samples(cfg))
+    out, modcfg, artifacts, warnings = _run_configured(cfg, raster)
     report = None
     baseline_name = None
     if cfg.fx_hz is not None:
         baseline_name = "rp"
-        report, _ = _scored(cfg, modcfg, artifacts, baseline_spec(cfg, "rp"))
+        report, _ = _scored(cfg, modcfg, artifacts, baseline_spec(cfg, "rp"), raster)
+    del raster  # before the writers, which would otherwise peak beside it
 
     write_cycles_csv(out / "cycles.csv", artifacts.result.records)
     write_psd_csv(out / "psd.csv", artifacts.psd)
@@ -608,8 +616,10 @@ def run_compare(cfg: ScenarioConfig, baseline_kind: str = "rp") -> NotchReport:
     if cfg.fx_hz is None:
         raise ConfigError("compare requires fx_hz")
     base_spec = baseline_spec(cfg, baseline_kind)
-    out, modcfg, artifacts, warnings = _run_configured(cfg)
-    report, base_psd = _scored(cfg, modcfg, artifacts, base_spec)
+    raster = np.empty(_most_samples(cfg))
+    out, modcfg, artifacts, warnings = _run_configured(cfg, raster)
+    report, base_psd = _scored(cfg, modcfg, artifacts, base_spec, raster)
+    del raster  # before the writers, which would otherwise peak beside it
     write_cycles_csv(out / "cycles.csv", artifacts.result.records)
     write_psd_csv(out / "psd.csv", artifacts.psd, baseline=base_psd)
     write_report(
@@ -640,7 +650,7 @@ def run_flatness(cfg: ScenarioConfig) -> list[tuple[float, float, float]]:
                 f"flatness window [{center - half}, {center + half}] Hz holds no "
                 f"PSD bin at {grid[1]:g} Hz bin spacing; raise psd_segment_len"
             )
-    out, _, artifacts, warnings = _run_configured(cfg)
+    out, _, artifacts, warnings = _run_configured(cfg, np.empty(_most_samples(cfg)))
     rows = [
         (center, *band_flatness(artifacts.psd, center - half, center + half))
         for center in centers

@@ -30,6 +30,8 @@ MIN_SAMPLES_PER_CYCLE = 100.0
 
 _REL_TOL = 1e-9
 
+_FILL_BLOCK = 1 << 15  # samples that `sample` fills at a time
+
 
 class MalformedRecordsError(ValueError):
     """Cycle records are not contiguous or hold out-of-range values."""
@@ -149,7 +151,9 @@ def pulse_train(records: Sequence[CycleRecord], phase: str) -> PulseTrain:
     )
 
 
-def sample(train: PulseTrain, rate: float) -> SampledWaveform:
+def sample(
+    train: PulseTrain, rate: float, *, out: np.ndarray | None = None
+) -> SampledWaveform:
     """Zero-order-hold samples of a pulse train on a uniform grid.
 
     Samples lie at k / rate for k = 0 .. n - 1, where n = round(duration *
@@ -158,6 +162,9 @@ def sample(train: PulseTrain, rate: float) -> SampledWaveform:
     naming the first edge that does not follow its predecessor, since the
     edges must strictly increase, or else the first edge that is not
     finite (a lone NaN edge has no predecessor to fail against).
+
+    With `out` (1-D C-contiguous float64, n or more long) `values` is out[:n],
+    out[n:] is untouched, and the next sample into `out` overwrites `values`.
     """
     if rate <= 0.0:
         raise ValueError(f"sample rate must be positive, got {rate}")
@@ -179,16 +186,29 @@ def sample(train: PulseTrain, rate: float) -> SampledWaveform:
         i = int(infinite[0])
         raise ValueError(f"edge {i} at {float(times[i])!r} s is not finite")
     n = int(round(train.duration * rate))
+    values = np.empty(n) if out is None else out[:n]
+    fits = values.shape == (n,) and values.dtype == np.float64
+    if not (fits and values.flags.c_contiguous):
+        raise ValueError(f"out must be 1-D C-contiguous float64 of at least {n} values")
     # first sample at or after each edge; k / rate is the float the sample
     # grid holds, so the product's rounding is corrected against it
     first = np.ceil(times * rate)
     first -= (first - 1.0) / rate >= times
     first += first / rate < times
-    # level j holds from the first sample at or after edge j to the next
-    # edge's; ordered edges make every run length nonnegative
-    runs = np.diff(np.clip(first, 0, n).astype(np.intp), prepend=0, append=n)
+    # level j holds on samples [bounds[j], bounds[j + 1]): from the first
+    # sample at or after edge j to the next edge's; ordered edges keep
+    # bounds nondecreasing
+    bounds = np.concatenate(([0], np.clip(first, 0, n).astype(np.intp), [n]))
     levels_ext = np.concatenate(([0.0], train.levels))
-    return SampledWaveform(values=np.repeat(levels_ext, runs), rate=rate)
+    # levels a .. b - 1 cover samples lo .. hi - 1; a block of samples at a
+    # time caps the repeated levels' temporary, however long a level holds
+    for lo in range(0, n, _FILL_BLOCK):
+        hi = min(lo + _FILL_BLOCK, n)
+        a = np.searchsorted(bounds, lo, side="right") - 1
+        b = np.searchsorted(bounds, hi, side="left")
+        runs = np.diff(np.clip(bounds[a : b + 1], lo, hi))
+        values[lo:hi] = np.repeat(levels_ext[a:b], runs)
+    return SampledWaveform(values=values, rate=rate)
 
 
 def line_voltage(

@@ -646,6 +646,28 @@ def test_simulate_samples_and_estimates_on_full_rasters(tmp_path, monkeypatch):
     assert [waveform.values.size for waveform, _ in estimates] == [n_full] * 2
 
 
+@pytest.mark.parametrize(
+    "command, calls", [("simulate", 6), ("compare", 6), ("flatness", 3)]
+)
+def test_a_command_samples_every_phase_into_one_raster(
+    tmp_path, monkeypatch, command, calls
+):
+    samples = _recorded(monkeypatch, "sample")
+    runs = _recorded(monkeypatch, "run_strategy")
+    cfg = parse_config(
+        write_config(tmp_path / "run.cfg", out_dir=tmp_path / "out", **SNS_RP_NOTCH)
+    )
+    getattr(cli_module, f"run_{command}")(cfg)
+    raster = samples[0][1].values.base
+    assert raster.size == cli_module._most_samples(cfg)
+    assert len(samples) == calls
+    assert all(wave.values.base is raster for _, wave in samples)
+    # what a run keeps is copied out of the raster that later runs overwrite
+    for _, artifacts in runs:
+        for wave in (*artifacts.samples, artifacts.u_ab):
+            assert not np.shares_memory(wave.values, raster)
+
+
 def test_simulate_peak_memory_per_sample(tmp_path):
     cfg = parse_config(
         write_config(
@@ -700,13 +722,30 @@ def test_simulate_rss_per_simulated_sample(tmp_path):
         peaks[duration] = _simulate_child_peak_rss(cfg_path, tmp_path / f"{duration}")
     # 9.0 B per sample of a longer run, measured on x86-64 Linux (glibc,
     # numpy 2.4): the int8 x_a raster and the float u_ab; two float rasters
-    # and Welch's power table alive at once gave 17.  The rasters of an 8 s
-    # run (64 MB) are above the 32 MiB that glibc's dynamic mmap threshold
-    # can rise to, so they are mapped and unmapped and its peak is what is
-    # alive; a 4 s run's rasters go on the heap, and the peak then also
-    # counts a freed one
+    # and Welch's power table alive at once gave 17
     slope = (peaks[8.0] - peaks[1.0]) / ((8.0 - 1.0) * 1e6)
     assert slope <= 10.0
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads ru_maxrss in kilobytes")
+def test_simulate_rss_per_sample_below_the_mmap_threshold(tmp_path):
+    # a 3 s run's 24 MB raster is below the 32 MiB that glibc's dynamic mmap
+    # threshold can rise to, so a freed raster stays on its heap, resident
+    peaks = {}
+    for duration in (1.0, 3.0):
+        cfg_path = write_config(
+            tmp_path / f"{duration}.cfg",
+            duration_s=duration,
+            psd_segment_len=65536,
+            export_window_s=0.1,
+            **SNS_RP_NOTCH,
+        )
+        peaks[duration] = _simulate_child_peak_rss(cfg_path, tmp_path / f"{duration}")
+    # 4.1 B per sample on x86-64 Linux (glibc, numpy 2.4) with one raster
+    # for all six samples; a raster per sample gave 13.4, the baseline's
+    # raster placed beside the strategy run's freed one
+    slope = (peaks[3.0] - peaks[1.0]) / ((3.0 - 1.0) * 1e6)
+    assert slope <= 12.0
 
 
 def test_main_exit_codes_and_overrides(tmp_path):

@@ -6,6 +6,7 @@ import signal
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -336,12 +337,21 @@ def test_a_signal_in_the_callers_block_stops_and_joins_the_helpers():
     # of the caller's own block
     real = spectrum_module._edge_block
     caller_blocks = []
+    # the helpers hold their first blocks until the caller is in its own,
+    # so the caller always gets a block however the threads are scheduled
+    caller_in = threading.Event()
 
     def alarm_in_caller(*args):
         if threading.current_thread() is threading.main_thread():
             caller_blocks.append(args[2].size)
+            caller_in.set()
             signal.setitimer(signal.ITIMER_REAL, 0.01)
-            threading.Event().wait(10.0)
+            # short sleeps: an alarm that lands just before a blocking wait
+            # starts would not cut that wait short
+            for _ in range(10_000):
+                time.sleep(1e-3)
+        else:
+            caller_in.wait(10.0)
         real(*args)
 
     before = threading.active_count()

@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import notchpwm.synthesis as synthesis_module
 from conftest import (
     bincount_sample,
     chain_rp,
@@ -300,6 +302,43 @@ def test_sample_matches_bincount_oracle(case):
     assert wave.values.flags.c_contiguous and wave.values.base is None
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    edge_trains() | free_trains(),
+    st.integers(1, 50),
+    st.sampled_from((1, 3, 64, synthesis_module._FILL_BLOCK)),
+)
+def test_sample_into_out_matches_fresh_samples(case, spare, block):
+    # blocks of 1 and 3 samples put block boundaries between and on edges
+    train, rate = case
+    fresh = sample(train, rate).values
+    out = np.full(fresh.size + spare, np.nan)
+    with mock.patch.object(synthesis_module, "_FILL_BLOCK", block):
+        wave = sample(train, rate, out=out)
+    assert wave.values.base is out and wave.rate == rate
+    assert same_bits(wave.values, fresh)
+    assert same_bits(wave.values, bincount_sample(train, rate))
+    assert same_bits(out[fresh.size :], np.full(spare, np.nan))  # untouched
+
+
+@pytest.mark.parametrize(
+    "make_out",
+    [
+        lambda n: np.full(n - 1, 7.0),  # too short
+        lambda n: np.full(n, 7.0, dtype=np.float32),
+        lambda n: np.full(2 * n, 7.0)[::2],  # not contiguous
+        lambda n: np.full((n, 1), 7.0),  # not 1-D
+    ],
+    ids=["short", "float32", "strided", "2-d"],
+)
+def test_sample_rejects_a_bad_out_before_writing(make_out):
+    train = pulse_train([rec(1, 0.0, 0.004, 0.5, 0.25)], "a")  # 4000 samples
+    out = make_out(4000)
+    with pytest.raises(ValueError, match="out must be 1-D C-contiguous float64"):
+        sample(train, 1e6, out=out)
+    assert (out == 7.0).all()
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.floats(-1.0, 1.0) | st.just(float("nan")), min_size=2, max_size=8))
 @example([1e-3, 2e-3, 2e-3, 1e-3])
@@ -351,6 +390,24 @@ def test_sample_peak_memory_per_sample():
     # the 8-byte samples themselves, plus per-edge work; counting the
     # edges at or before each sample with bincount and cumsum peaks at 16
     assert peak / wave.values.size <= 9.0
+
+
+def test_sample_into_out_allocates_per_edge_and_per_block_only():
+    mod = ModulatorConfig(m_index=0.7, f1=50.0, u_dc=24.0)
+    spec = StrategySpec(kind=StrategyKind.SNS_RP, fs=2500.0, fx=7000.0)
+    train = pulse_train(schedule(spec, mod, 1.0, 0).records, "a")
+    out = np.empty(1_000_400)
+    tracemalloc.start()
+    try:
+        wave = sample(train, 1e6, out=out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert wave.values.size == out.size
+    # one block of repeated levels (256 kB), plus 25 B per edge measured
+    # with numpy 2.4 (the first-sample instants, their bounds, the levels);
+    # a full-length temporary, or a second block's, breaks this bound
+    assert peak <= synthesis_module._FILL_BLOCK * 8 + 48 * train.times.size
 
 
 def test_sample_rate_guard():
