@@ -74,10 +74,10 @@ MIN_FUNDAMENTAL_PERIODS = 50.0
 BASELINE_KINDS = ("rp", "csvpwm", "rf")
 
 # most samples per phase a run may raster.  `simulate` peaks near 10 B
-# per sample of a long run, 99 B per cycle per schedule (two during the
-# baseline) and about 80 B per export row.  At the default 0.1 s export
-# window, peak RSS of 49.9 s runs at 1 MHz (numpy 2.4) was 0.54 GB for
-# sns_rp at 2.5 kHz and 0.71 GB for rp at 10 kHz, so a run stays under 1 GB
+# per sample of a long run, 99 B per cycle of its one schedule alive at a
+# time and about 85 B per export row.  At the default 0.1 s export
+# window, peak RSS of 49.9 s runs at 1 MHz (numpy 2.4) was 0.52 GB for
+# sns_rp at 2.5 kHz and 0.62 GB for rp at 10 kHz, so a run stays under 1 GB
 MAX_SAMPLES = 50_000_000
 
 
@@ -294,10 +294,11 @@ class RunArtifacts:
 
     `samples` (x_a, x_b, x_c) and `u_ab` hold only the export window that
     waveform.csv writes: the first round(export_window_s * sample_rate_hz)
-    samples of the run, or all of them in a shorter run.  Each is an array
-    of its own, not a view of the command's one float raster (8 bytes per
-    sample), which every phase of every run is sampled into in turn; x_a's
-    levels are kept beside it as int8 until u_ab is formed there.
+    samples of the run, or all of them in a shorter run.  Each is a float
+    array of its own, not a view of the command's one float raster (8
+    bytes per sample), which every phase of every run is sampled into in
+    turn.  x_a's and x_b's windows are made from int8 copies of their 0/1
+    levels once the PSD is estimated.
     """
 
     result: ScheduleResult
@@ -317,8 +318,8 @@ def run_strategy(
     n_export = int(round(cfg.export_window_s * rate))
 
     def window(values: np.ndarray) -> SampledWaveform:
-        # a copy, since a view would keep the full raster alive
-        return SampledWaveform(values=values[:n_export].copy(), rate=rate)
+        # a float copy, since a view would keep the full raster alive
+        return SampledWaveform(values=values[:n_export].astype(float), rate=rate)
 
     def sampled(train: PulseTrain) -> np.ndarray:
         try:
@@ -326,14 +327,13 @@ def run_strategy(
         except RateTooLowError as exc:
             raise ConfigError(str(exc)) from exc
 
-    # every phase is sampled into `raster`: x_a's levels are exactly 0 and
-    # 1, so they are kept as int8 once its window is copied out; u_ab is
-    # formed in x_b's samples, and phase c is sampled only after u_ab's last
-    # full-length use
-    x_a = sampled(trains[0])
-    x_a, levels_a = window(x_a), x_a.astype(np.int8)
+    # every phase is sampled into `raster`.  x_a's and x_b's levels are
+    # exactly 0 and 1, so x_a is kept whole as int8 and both windows are
+    # int8 copies until the PSD is estimated; u_ab is formed in x_b's
+    # samples, and phase c is sampled only after u_ab's last full-length use
+    levels_a = sampled(trains[0]).astype(np.int8)
     u_ab = sampled(trains[1])
-    x_b = window(u_ab)
+    windows_ab = (levels_a[:n_export].copy(), u_ab[:n_export].astype(np.int8))
     line_voltage(levels_a, u_ab, cfg.u_dc_v, out=u_ab)
     del levels_a
     try:
@@ -346,6 +346,7 @@ def run_strategy(
     except TooShortError as exc:
         raise ConfigError(str(exc)) from exc
     u_ab = window(u_ab)
+    x_a, x_b = map(window, windows_ab)
     x_c = window(sampled(trains[2]))
     return RunArtifacts(
         result=result, trains=trains, samples=(x_a, x_b, x_c), u_ab=u_ab, psd=psd
@@ -554,31 +555,28 @@ def _phase_a_current(
 
 def _run_configured(
     cfg: ScenarioConfig, raster: np.ndarray
-) -> tuple[Path, ModulatorConfig, RunArtifacts, list[str]]:
+) -> tuple[Path, RunArtifacts, list[str]]:
     """Run the configured strategy and print its warnings to stderr.
 
-    Returns the output directory, the modulator config, the run, and its
-    warnings for report.txt.
+    Returns the output directory, the run, and its warnings for
+    report.txt.
     """
-    modcfg = modulator_config(cfg)
-    artifacts = run_strategy(strategy_spec(cfg), modcfg, cfg, raster)
+    artifacts = run_strategy(strategy_spec(cfg), modulator_config(cfg), cfg, raster)
     warnings = _run_warnings(cfg, artifacts)
     for text in warnings:
         print(f"warning: {text}", file=sys.stderr)
-    return Path(cfg.out_dir), modcfg, artifacts, warnings
+    return Path(cfg.out_dir), artifacts, warnings
 
 
-def _scored(
-    cfg: ScenarioConfig,
-    modcfg: ModulatorConfig,
-    artifacts: RunArtifacts,
-    base_spec: StrategySpec,
-    raster: np.ndarray,
-) -> tuple[NotchReport, Spectrum]:
-    """Notch report of the run against a same-seed baseline, and its PSD."""
-    base = run_strategy(base_spec, modcfg, cfg, raster)
-    report = notch_report(artifacts.psd, base.psd, cfg.fx_hz, cfg.half_band_hz)
-    return report, base.psd
+def _baseline_psd(
+    cfg: ScenarioConfig, base_spec: StrategySpec, raster: np.ndarray
+) -> Spectrum:
+    """PSD of a same-seed baseline run, the first run into `raster`.
+
+    The rest of the baseline run (schedule, trains and export windows) is
+    freed on return, before the configured run starts.
+    """
+    return run_strategy(base_spec, modulator_config(cfg), cfg, raster).psd
 
 
 def run_simulate(cfg: ScenarioConfig) -> Optional[NotchReport]:
@@ -589,13 +587,15 @@ def run_simulate(cfg: ScenarioConfig) -> Optional[NotchReport]:
     the strategy's own PSD only.
     """
     raster = np.empty(_most_samples(cfg))
-    out, modcfg, artifacts, warnings = _run_configured(cfg, raster)
-    report = None
-    baseline_name = None
-    if cfg.fx_hz is not None:
-        baseline_name = "rp"
-        report, _ = _scored(cfg, modcfg, artifacts, baseline_spec(cfg, "rp"), raster)
+    baseline_name = None if cfg.fx_hz is None else "rp"
+    base_psd = None
+    if baseline_name is not None:
+        base_psd = _baseline_psd(cfg, baseline_spec(cfg, baseline_name), raster)
+    out, artifacts, warnings = _run_configured(cfg, raster)
     del raster  # before the writers, which would otherwise peak beside it
+    report = None
+    if base_psd is not None:
+        report = notch_report(artifacts.psd, base_psd, cfg.fx_hz, cfg.half_band_hz)
 
     write_cycles_csv(out / "cycles.csv", artifacts.result.records)
     write_psd_csv(out / "psd.csv", artifacts.psd)
@@ -612,14 +612,14 @@ def run_simulate(cfg: ScenarioConfig) -> Optional[NotchReport]:
 
 
 def run_compare(cfg: ScenarioConfig, baseline_kind: str = "rp") -> NotchReport:
-    """Run strategy and baseline on a common grid; write the overlay PSD."""
+    """Run baseline and strategy on a common grid; write the overlay PSD."""
     if cfg.fx_hz is None:
         raise ConfigError("compare requires fx_hz")
-    base_spec = baseline_spec(cfg, baseline_kind)
     raster = np.empty(_most_samples(cfg))
-    out, modcfg, artifacts, warnings = _run_configured(cfg, raster)
-    report, base_psd = _scored(cfg, modcfg, artifacts, base_spec, raster)
+    base_psd = _baseline_psd(cfg, baseline_spec(cfg, baseline_kind), raster)
+    out, artifacts, warnings = _run_configured(cfg, raster)
     del raster  # before the writers, which would otherwise peak beside it
+    report = notch_report(artifacts.psd, base_psd, cfg.fx_hz, cfg.half_band_hz)
     write_cycles_csv(out / "cycles.csv", artifacts.result.records)
     write_psd_csv(out / "psd.csv", artifacts.psd, baseline=base_psd)
     write_report(
@@ -650,7 +650,7 @@ def run_flatness(cfg: ScenarioConfig) -> list[tuple[float, float, float]]:
                 f"flatness window [{center - half}, {center + half}] Hz holds no "
                 f"PSD bin at {grid[1]:g} Hz bin spacing; raise psd_segment_len"
             )
-    out, _, artifacts, warnings = _run_configured(cfg, np.empty(_most_samples(cfg)))
+    out, artifacts, warnings = _run_configured(cfg, np.empty(_most_samples(cfg)))
     rows = [
         (center, *band_flatness(artifacts.psd, center - half, center + half))
         for center in centers

@@ -334,17 +334,19 @@ def welch_psd(
     segments = sliding_window_view(waveform.values, segment_len)[: n_seg * hop : hop]
 
     windowed = np.empty(segment_len)
-    power = np.empty(segment_len // 2 + 1)
+    spec = np.empty(segment_len // 2 + 1, dtype=complex)
+    power = np.empty(spec.size)
     scratch = np.empty_like(power)
 
     def powers():
-        # one set of buffers, refilled for every segment
+        # one set of buffers, the FFT's output included, refilled for
+        # every segment: a segment allocates nothing of its length
         for seg in segments:
             if detrend:
                 np.subtract(seg, seg.mean(), out=windowed)
                 seg = windowed
             np.multiply(seg, win, out=windowed)
-            spec = np.fft.rfft(windowed)
+            np.fft.rfft(windowed, out=spec)
             np.square(spec.real, out=power)
             np.add(power, np.square(spec.imag, out=scratch), out=power)
             power[1:-1] *= 2.0

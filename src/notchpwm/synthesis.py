@@ -195,19 +195,24 @@ def sample(
     first = np.ceil(times * rate)
     first -= (first - 1.0) / rate >= times
     first += first / rate < times
-    # level j holds on samples [bounds[j], bounds[j + 1]): from the first
-    # sample at or after edge j to the next edge's; ordered edges keep
-    # bounds nondecreasing
-    bounds = np.concatenate(([0], np.clip(first, 0, n).astype(np.intp), [n]))
-    levels_ext = np.concatenate(([0.0], train.levels))
-    # levels a .. b - 1 cover samples lo .. hi - 1; a block of samples at a
-    # time caps the repeated levels' temporary, however long a level holds
-    for lo in range(0, n, _FILL_BLOCK):
-        hi = min(lo + _FILL_BLOCK, n)
-        a = np.searchsorted(bounds, lo, side="right") - 1
-        b = np.searchsorted(bounds, hi, side="left")
-        runs = np.diff(np.clip(bounds[a : b + 1], lo, hi))
-        values[lo:hi] = np.repeat(levels_ext[a:b], runs)
+    # level j holds from sample starts[j] up to the next level's start, or
+    # n: from the first sample at or after edge j; ordered edges keep
+    # starts nondecreasing
+    starts = np.concatenate(([0], np.clip(first, 0, n).astype(np.intp)))
+    del first
+    # a block of samples at a time caps the repeated levels' temporary,
+    # however long a level holds.  Each block start is cut into the level
+    # runs, after the levels starting at or before it and with the level
+    # in force there, so a block's runs are one slice of `runs`
+    block_starts = np.arange(0, n, _FILL_BLOCK)
+    at = np.searchsorted(starts, block_starts, side="right")
+    levels = np.concatenate(([0.0], train.levels))
+    levels = np.insert(levels, at, levels[at - 1])
+    runs = np.diff(np.insert(starts, at, block_starts), append=n)
+    del starts
+    cuts = (at + np.arange(at.size)).tolist() + [runs.size]
+    for lo, p, q in zip(block_starts.tolist(), cuts, cuts[1:]):
+        values[lo : lo + _FILL_BLOCK] = np.repeat(levels[p:q], runs[p:q])
     return SampledWaveform(values=values, rate=rate)
 
 

@@ -2,8 +2,10 @@
 
 import filecmp
 import os
+import subprocess
 import sys
 import tracemalloc
+import weakref
 from dataclasses import MISSING, fields
 from pathlib import Path
 from unittest import mock
@@ -39,6 +41,7 @@ from notchpwm.cli import (
     run_simulate,
     strategy_spec,
 )
+from notchpwm.synthesis import sample
 
 ARTIFACTS = ("cycles.csv", "psd.csv", "waveform.csv", "current.csv", "report.txt")
 
@@ -632,6 +635,51 @@ def test_run_artifacts_hold_only_the_export_window(tmp_path, monkeypatch):
             assert wave.values.base is None  # not a view into a full raster
 
 
+def test_run_artifacts_windows_are_float_copies_of_the_samples(tmp_path, monkeypatch):
+    # x_a and x_b are held as int8 levels through Welch, then made float
+    runs = _recorded(monkeypatch, "run_strategy")
+    cfg = parse_config(
+        write_config(tmp_path / "run.cfg", out_dir=tmp_path / "out", **SNS_RP_NOTCH)
+    )
+    run_simulate(cfg)
+    run_compare(cfg, "csvpwm")
+    n_export = round(cfg.export_window_s * cfg.sample_rate_hz)
+    for _, artifacts in runs:
+        for train, wave in zip(artifacts.trains, artifacts.samples):
+            fresh = sample(train, cfg.sample_rate_hz).values[:n_export]
+            assert wave.values.dtype == np.float64 and wave.values.flags.owndata
+            assert np.array_equal(wave.values.view(np.uint64), fresh.view(np.uint64))
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_the_baseline_run_is_freed_before_the_configured_run_samples(
+    tmp_path, monkeypatch, command
+):
+    runs = []  # (strategy kind, weak reference to the run's RunArtifacts)
+    alive = []  # per `sample` call: which runs made so far are still held
+    run_strategy, sample_into = cli_module.run_strategy, cli_module.sample
+
+    def recorded_run(spec, *args):
+        artifacts = run_strategy(spec, *args)
+        runs.append((spec.kind, weakref.ref(artifacts)))
+        return artifacts
+
+    def recorded_sample(*args, **kwargs):
+        alive.append([ref() is not None for _, ref in runs])
+        return sample_into(*args, **kwargs)
+
+    monkeypatch.setattr(cli_module, "run_strategy", recorded_run)
+    monkeypatch.setattr(cli_module, "sample", recorded_sample)
+    cfg = parse_config(
+        write_config(tmp_path / "run.cfg", out_dir=tmp_path / "out", **SNS_RP_NOTCH)
+    )
+    getattr(cli_module, f"run_{command}")(cfg)
+    assert [kind for kind, _ in runs] == [StrategyKind.RP, StrategyKind.SNS_RP]
+    # the baseline samples its three phases first; by the configured run's
+    # first sample only its PSD is left
+    assert alive == [[]] * 3 + [[False]] * 3
+
+
 def test_simulate_samples_and_estimates_on_full_rasters(tmp_path, monkeypatch):
     # the benchmark's traced work counts rest on these calls
     samples = _recorded(monkeypatch, "sample")
@@ -685,27 +733,72 @@ def test_simulate_peak_memory_per_sample(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # 19 B per sample measured with numpy 2.4, 9 of them the int8 x_a
-    # raster and the float u_ab; holding two float rasters, Welch's power
-    # table and the time column's text gave 25, and keeping the main run's
-    # full rasters through its baseline 85
-    assert peak / (cfg.duration_s * cfg.sample_rate_hz) <= 24.0
+    # 13.5 B per sample measured with numpy 2.4, 9 of them the int8 x_a
+    # raster and the float u_ab; running the baseline after the configured
+    # run, beside what that run keeps, gave 19, holding two float rasters,
+    # Welch's power table and the time column's text 25, and keeping the
+    # main run's full rasters through its baseline 85
+    assert peak / (cfg.duration_s * cfg.sample_rate_hz) <= 16.0
+
+
+# spawns `python *argv[1:]`, stderr to /dev/null, and prints its exit code
+# and ru_maxrss, from os.wait4 on it alone
+_REPORT_CHILD_RSS = """
+import os, sys
+pid = os.posix_spawn(
+    sys.executable, [sys.executable, *sys.argv[1:]], os.environ,
+    file_actions=[(os.POSIX_SPAWN_OPEN, 2, os.devnull, os.O_WRONLY, 0)],
+)
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def _child_peak_rss(*args) -> int:
+    """ru_maxrss in bytes of one `python *args` child.
+
+    Linux starts a spawned child's ru_maxrss at its parent's high-water
+    mark, which for this test process can be above the child's own peak.
+    So the child is spawned by a fresh interpreter, whose mark (about
+    14 MB) is below any child measured here.
+    """
+    src = str(Path(cli_module.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    reported = subprocess.run(
+        [sys.executable, "-c", _REPORT_CHILD_RSS, *args],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    code, maxrss = map(int, reported.stdout.split())
+    assert code == 0
+    return maxrss * 1024  # kilobytes on Linux
 
 
 def _simulate_child_peak_rss(cfg_path, out) -> int:
-    """ru_maxrss in bytes of one `simulate` child, from os.wait4 on it alone."""
-    src = str(Path(cli_module.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    argv = [sys.executable, "-m", "notchpwm.cli", "simulate"]
-    pid = os.posix_spawn(
-        sys.executable,
-        [*argv, "--config", str(cfg_path), "--out", str(out)],
-        {**os.environ, "PYTHONPATH": path},
-        file_actions=[(os.POSIX_SPAWN_OPEN, 2, os.devnull, os.O_WRONLY, 0)],
+    """ru_maxrss in bytes of one `simulate` child."""
+    argv = ("-m", "notchpwm.cli", "simulate", "--config", str(cfg_path))
+    return _child_peak_rss(*argv, "--out", str(out))
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads ru_maxrss in kilobytes")
+def test_simulate_peaks_near_its_raster_above_the_import(tmp_path):
+    cfg_path = write_config(
+        tmp_path / "run.cfg",
+        duration_s=2.0,
+        psd_segment_len=65536,
+        export_window_s=0.1,
+        **SNS_RP_NOTCH,
     )
-    _, status, usage = os.wait4(pid, 0)
-    assert os.waitstatus_to_exitcode(status) == 0
-    return usage.ru_maxrss * 1024  # kilobytes on Linux
+    raster = 8 * cli_module._most_samples(parse_config(cfg_path))
+    imported = _child_peak_rss("-c", "import notchpwm.cli")
+    peak = _simulate_child_peak_rss(cfg_path, tmp_path / "out")
+    # 8.9 MB above on x86-64 Linux (glibc, numpy 2.4): Welch's buffers, the
+    # int8 x_a and a schedule with its trains; running the baseline after
+    # the configured run, beside its schedule, trains and float export
+    # windows, gave 14.7
+    assert peak - imported - raster <= 11.5e6
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads ru_maxrss in kilobytes")
@@ -720,7 +813,7 @@ def test_simulate_rss_per_simulated_sample(tmp_path):
             **SNS_RP_NOTCH,
         )
         peaks[duration] = _simulate_child_peak_rss(cfg_path, tmp_path / f"{duration}")
-    # 9.0 B per sample of a longer run, measured on x86-64 Linux (glibc,
+    # 9.3 B per sample of a longer run, measured on x86-64 Linux (glibc,
     # numpy 2.4): the int8 x_a raster and the float u_ab; two float rasters
     # and Welch's power table alive at once gave 17
     slope = (peaks[8.0] - peaks[1.0]) / ((8.0 - 1.0) * 1e6)
@@ -741,9 +834,9 @@ def test_simulate_rss_per_sample_below_the_mmap_threshold(tmp_path):
             **SNS_RP_NOTCH,
         )
         peaks[duration] = _simulate_child_peak_rss(cfg_path, tmp_path / f"{duration}")
-    # 4.1 B per sample on x86-64 Linux (glibc, numpy 2.4) with one raster
-    # for all six samples; a raster per sample gave 13.4, the baseline's
-    # raster placed beside the strategy run's freed one
+    # 8.8 B per sample on x86-64 Linux (glibc, numpy 2.4) with one raster
+    # for all six samples, about the raster's 8 and the int8 x_a's 1: no
+    # run's raster is placed beside an earlier run's freed one
     slope = (peaks[3.0] - peaks[1.0]) / ((3.0 - 1.0) * 1e6)
     assert slope <= 12.0
 
