@@ -75,7 +75,7 @@ BASELINE_KINDS = ("rp", "csvpwm", "rf")
 
 # most samples per phase a run may raster.  `simulate` peaks near 10 B
 # per sample of a long run, 99 B per cycle of its one schedule alive at a
-# time and about 85 B per export row.  At the default 0.1 s export
+# time and about 55 B per export row.  At the default 0.1 s export
 # window, peak RSS of 49.9 s runs at 1 MHz (numpy 2.4) was 0.52 GB for
 # sns_rp at 2.5 kHz and 0.62 GB for rp at 10 kHz, so a run stays under 1 GB
 MAX_SAMPLES = 50_000_000
@@ -85,9 +85,8 @@ MAX_SAMPLES = 50_000_000
 class ScenarioConfig:
     """Everything a run needs, as read from one config file.
 
-    The fields are the config keys: each value is parsed by its field's
-    annotated type; fields without a default are required.  The former key
-    sns_rp_variant is read as cancel_method: naming both is a duplicate.
+    The fields are the config keys, one name each: each value is parsed by
+    its field's annotated type; fields without a default are required.
     """
 
     strategy: StrategyKind
@@ -149,7 +148,6 @@ _CONVERTERS = {
     name: _converter(hint) for name, hint in get_type_hints(ScenarioConfig).items()
 }
 _REQUIRED = tuple(f.name for f in fields(ScenarioConfig) if f.default is MISSING)
-_KEY_ALIASES = {"sns_rp_variant": "cancel_method"}
 
 
 def parse_config(path) -> ScenarioConfig:
@@ -172,7 +170,6 @@ def parse_config(path) -> ScenarioConfig:
             raise ConfigError(f"{path}:{lineno}: expected key = value, got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        key = _KEY_ALIASES.get(key, key)
         value = value.strip()
         if key not in _CONVERTERS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
@@ -292,34 +289,29 @@ def baseline_spec(cfg: ScenarioConfig, kind: str) -> StrategySpec:
 class RunArtifacts:
     """In-memory results of one strategy run.
 
-    `samples` (x_a, x_b, x_c) and `u_ab` hold only the export window that
-    waveform.csv writes: the first round(export_window_s * sample_rate_hz)
-    samples of the run, or all of them in a shorter run.  Each is a float
-    array of its own, not a view of the command's one float raster (8
-    bytes per sample), which every phase of every run is sampled into in
-    turn.  x_a's and x_b's windows are made from int8 copies of their 0/1
-    levels once the PSD is estimated.
+    `levels` holds only the export window that waveform.csv writes: the
+    0/1 switch levels of x_a, x_b and x_c (rows 0, 1 and 2) over the first
+    round(export_window_s * sample_rate_hz) samples of the run, or all of
+    them in a shorter run.  It is one int8 array of its own (1 byte per
+    sample and phase), not a view of the command's one float raster,
+    which every phase of every run is sampled into in turn.
+    `write_waveform_csv` makes the float columns and u_ab from it.
     """
 
     result: ScheduleResult
     trains: tuple[PulseTrain, PulseTrain, PulseTrain]
-    samples: tuple[SampledWaveform, SampledWaveform, SampledWaveform]
-    u_ab: SampledWaveform
+    levels: np.ndarray
     psd: Spectrum
 
 
 def run_strategy(
     spec: StrategySpec, modcfg: ModulatorConfig, cfg: ScenarioConfig, raster: np.ndarray
 ) -> RunArtifacts:
-    """Schedule, synthesize, sample into `raster`, and estimate the PSD of u_ab."""
+    """Schedule, sample into `raster`, keep the int8 export window, and estimate u_ab's PSD."""
     result = schedule(spec, modcfg, cfg.duration_s, cfg.seed)
     trains = tuple(pulse_train(result.records, p) for p in PHASES)
     rate = cfg.sample_rate_hz
     n_export = int(round(cfg.export_window_s * rate))
-
-    def window(values: np.ndarray) -> SampledWaveform:
-        # a float copy, since a view would keep the full raster alive
-        return SampledWaveform(values=values[:n_export].astype(float), rate=rate)
 
     def sampled(train: PulseTrain) -> np.ndarray:
         try:
@@ -327,13 +319,15 @@ def run_strategy(
         except RateTooLowError as exc:
             raise ConfigError(str(exc)) from exc
 
-    # every phase is sampled into `raster`.  x_a's and x_b's levels are
-    # exactly 0 and 1, so x_a is kept whole as int8 and both windows are
-    # int8 copies until the PSD is estimated; u_ab is formed in x_b's
-    # samples, and phase c is sampled only after u_ab's last full-length use
+    # levels are exactly 0 and 1, so x_a is kept whole as int8, and each
+    # export window is an int8 copy made while its phase is in `raster`:
+    # x_b's before u_ab is formed in its samples, and x_c's once u_ab's
+    # last full-length use is done
     levels_a = sampled(trains[0]).astype(np.int8)
     u_ab = sampled(trains[1])
-    windows_ab = (levels_a[:n_export].copy(), u_ab[:n_export].astype(np.int8))
+    levels = np.empty((3, min(n_export, u_ab.size)), dtype=np.int8)
+    levels[0] = levels_a[: levels.shape[1]]
+    levels[1] = u_ab[: levels.shape[1]]
     line_voltage(levels_a, u_ab, cfg.u_dc_v, out=u_ab)
     del levels_a
     try:
@@ -345,12 +339,8 @@ def run_strategy(
         )
     except TooShortError as exc:
         raise ConfigError(str(exc)) from exc
-    u_ab = window(u_ab)
-    x_a, x_b = map(window, windows_ab)
-    x_c = window(sampled(trains[2]))
-    return RunArtifacts(
-        result=result, trains=trains, samples=(x_a, x_b, x_c), u_ab=u_ab, psd=psd
-    )
+    levels[2] = sampled(trains[2])[: levels.shape[1]]
+    return RunArtifacts(result=result, trains=trains, levels=levels, psd=psd)
 
 
 def _run_warnings(cfg: ScenarioConfig, artifacts: RunArtifacts) -> list[str]:
@@ -472,13 +462,18 @@ def write_psd_csv(path: Path, psd: Spectrum, baseline: Optional[Spectrum] = None
     _write_columns(path, header, columns)
 
 
-def write_waveform_csv(path: Path, artifacts: RunArtifacts, time_text: np.ndarray) -> None:
-    """waveform.csv of the export window; `time_text` is its time column."""
-    waves = (*artifacts.samples, artifacts.u_ab)
+def write_waveform_csv(
+    path: Path, artifacts: RunArtifacts, u_dc: float, time_text: np.ndarray
+) -> None:
+    """waveform.csv of the export window; `time_text` is its time column.
+
+    Its float columns are made here from the int8 `levels`, and die with the call.
+    """
+    levels = artifacts.levels
     _write_columns(
         path,
         "# notchpwm waveform v1\ntime_s,x_a,x_b,x_c,u_ab_v\n",
-        (time_text, *(w.values for w in waves)),
+        (time_text, *levels.astype(float), line_voltage(levels[0], levels[1], u_dc)),
     )
 
 
@@ -544,7 +539,7 @@ def _phase_a_current(
     # the last partial segment there, so both files share one time column;
     # a schedule end that rounds up to that count ends the grid itself,
     # since [0, end) still holds every sample of the run
-    t_end = min(artifacts.u_ab.values.size / cfg.sample_rate_hz, float(breaks[-1]))
+    t_end = min(artifacts.levels.shape[1] / cfg.sample_rate_hz, float(breaks[-1]))
     keep = int(np.searchsorted(breaks, t_end, side="left"))
     clipped = np.append(breaks[:keep], t_end)
     load = LoadParams(resistance=cfg.load_r_ohm, inductance=cfg.load_l_h)
@@ -600,9 +595,9 @@ def run_simulate(cfg: ScenarioConfig) -> Optional[NotchReport]:
     write_cycles_csv(out / "cycles.csv", artifacts.result.records)
     write_psd_csv(out / "psd.csv", artifacts.psd)
     # waveform.csv and current.csv share one time column: format it once
-    n_export = artifacts.u_ab.values.size
+    n_export = artifacts.levels.shape[1]
     time_text = _block_text(np.arange(n_export) / cfg.sample_rate_hz)
-    write_waveform_csv(out / "waveform.csv", artifacts, time_text)
+    write_waveform_csv(out / "waveform.csv", artifacts, cfg.u_dc_v, time_text)
     write_current_csv(out / "current.csv", _phase_a_current(artifacts, cfg), time_text)
     write_report(
         out / "report.txt",

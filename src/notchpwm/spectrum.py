@@ -27,10 +27,11 @@ Electroacoust. 15(2), 1967) on uniformly sampled waveforms.  It is
 computed in numpy with the operations of `scipy.signal.welch` (scipy
 1.17) in the same order, and matches it bit for bit.  The segments'
 powers are not stored as a table: each segment's power is added into a
-running sum in the order numpy's pairwise mean over such a table would
-add it, so the estimate needs working memory of a few bins-long arrays
-whatever the waveform's length.  Power densities are reported in dB/Hz
-with a -200 dB/Hz floor so that exact zeros stay finite.
+partial sum in the order numpy's pairwise mean over such a table would
+add it, with at most 4 such sums alive, so the estimate needs working
+memory of a few bins-long arrays whatever the waveform's length.  Power
+densities are reported in dB/Hz with a -200 dB/Hz floor so that exact
+zeros stay finite.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -261,8 +262,8 @@ def _periodic_window(name: str, size: int) -> np.ndarray:
 _PW_BLOCKSIZE = 128
 
 
-def _pairwise_sum(rows: Iterator[np.ndarray], n: int) -> np.ndarray:
-    """Sum of the next n arrays of `rows`, in numpy's pairwise order.
+def _pairwise_sum(row: Callable[[int], np.ndarray], n: int, start: int = 0) -> np.ndarray:
+    """Sum of row(start) .. row(start + n - 1), in numpy's pairwise order.
 
     Each element is summed as numpy's `pairwise_sum` sums a row of n
     values: in order below 8; with 8 interleaved accumulators up to
@@ -270,33 +271,39 @@ def _pairwise_sum(rows: Iterator[np.ndarray], n: int) -> np.ndarray:
     as the sum of two halves split at n / 2 rounded down to a multiple of
     8.  So for nonnegative arrays the result equals the sum, and divided
     by n the mean, along the last axis of the arrays stacked as columns,
-    bit for bit (checked against numpy 2.4), without holding them at once:
-    working memory is 8 accumulators plus one partial sum per split level.
-    The arrays of `rows` are read, never written, and each is read in full
-    before the next is asked for, so `rows` may yield one buffer that it
-    refills every time.
+    bit for bit (checked against numpy 2.4), without holding them at once.
+    The accumulators are made one at a time and folded as soon as both of
+    a pair exist, in numpy's order ((r0 + r1) + (r2 + r3)) + ((r4 + r5) +
+    (r6 + r7)), so at most 4 are alive, plus one partial sum per split
+    level.  row(i) is called once for each i, and its array is read, never
+    written, before the next call, so it may be one refilled buffer.
     """
     if n > _PW_BLOCKSIZE:
         half = n // 2
         half -= half % 8
-        total = _pairwise_sum(rows, half)
-        total += _pairwise_sum(rows, n - half)
+        total = _pairwise_sum(row, half, start)
+        total += _pairwise_sum(row, n - half, start + half)
         return total
     if n < 8:
-        total = next(rows).copy()
-        for _ in range(n - 1):
-            total += next(rows)
+        total = row(start).copy()
+        for i in range(start + 1, start + n):
+            total += row(i)
         return total
-    acc = [next(rows).copy() for _ in range(8)]
     unrolled = n - n % 8
-    for i in range(8, unrolled):
-        acc[i % 8] += next(rows)
-    # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
-    for a, b in ((0, 1), (2, 3), (0, 2), (4, 5), (6, 7), (4, 6), (0, 4)):
-        acc[a] += acc[b]
-    for _ in range(unrolled, n):
-        acc[0] += next(rows)
-    return acc[0]
+    partial: list[tuple[int, np.ndarray]] = []  # (accumulators in it, sum)
+    for j in range(start, start + 8):
+        acc, width = row(j).copy(), 1
+        for i in range(j + 8, start + unrolled, 8):
+            acc += row(i)
+        while partial and partial[-1][0] == width:
+            total = partial.pop()[1]
+            total += acc
+            acc, width = total, 2 * width
+        partial.append((width, acc))
+    total = partial.pop()[1]
+    for i in range(start + unrolled, start + n):
+        total += row(i)
+    return total
 
 
 def welch_psd(
@@ -312,7 +319,7 @@ def welch_psd(
     overlap is the fraction of a segment shared with its neighbor.  Each
     segment has its mean removed (unless detrend is False) and is weighted
     by a periodic `window` from WELCH_WINDOWS; the one-sided densities of
-    the segments are averaged.
+    the segments are averaged, each one's power formed in its FFT's output.
     """
     n = waveform.values.size
     if segment_len < 2 or segment_len & (segment_len - 1):
@@ -335,28 +342,27 @@ def welch_psd(
 
     windowed = np.empty(segment_len)
     spec = np.empty(segment_len // 2 + 1, dtype=complex)
-    power = np.empty(spec.size)
-    scratch = np.empty_like(power)
+    power, imag = spec.real, spec.imag  # views of the FFT's output
 
-    def powers():
-        # one set of buffers, the FFT's output included, refilled for
-        # every segment: a segment allocates nothing of its length
-        for seg in segments:
-            if detrend:
-                np.subtract(seg, seg.mean(), out=windowed)
-                seg = windowed
-            np.multiply(seg, win, out=windowed)
-            np.fft.rfft(windowed, out=spec)
-            np.square(spec.real, out=power)
-            np.add(power, np.square(spec.imag, out=scratch), out=power)
-            power[1:-1] *= 2.0
-            yield power
+    def segment_power(i):
+        # one set of buffers refilled for every segment, the power in the
+        # FFT output's real parts: a segment allocates nothing of its length
+        seg = segments[i]
+        if detrend:
+            np.subtract(seg, seg.mean(), out=windowed)
+            seg = windowed
+        np.multiply(seg, win, out=windowed)
+        np.fft.rfft(windowed, out=spec)
+        np.square(power, out=power)
+        np.add(power, np.square(imag, out=imag), out=power)
+        power[1:-1] *= 2.0
+        return power
 
     # the mean numpy takes over a (bins, n_seg) table of the powers
-    power = _pairwise_sum(powers(), n_seg) / n_seg
+    mean = _pairwise_sum(segment_power, n_seg) / n_seg
     freqs = np.fft.rfftfreq(segment_len, 1.0 / waveform.rate)
     return Spectrum(
-        freqs=freqs, values=power_to_db(power), resolution=float(freqs[1] - freqs[0])
+        freqs=freqs, values=power_to_db(mean), resolution=float(freqs[1] - freqs[0])
     )
 
 

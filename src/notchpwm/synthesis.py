@@ -99,7 +99,7 @@ def edge_times(
     return _edges(*_columns(records, _phase_index(phase)))
 
 
-def _check_records(records, p, t_m, ts, duty, position) -> None:
+def _check_records(t_m, ts, duty, position) -> None:
     """Raise MalformedRecordsError for the first bad cycle, at its first failed check."""
     with np.errstate(invalid="ignore", over="ignore"):
         ends = t_m + ts
@@ -107,22 +107,21 @@ def _check_records(records, p, t_m, ts, duty, position) -> None:
         in_cycle = (position >= -_REL_TOL) & (position <= 1.0 - duty + _REL_TOL)
         # the range checks are written so that NaN fails them
         checks = (
-            (ts <= 0.0, "nonpositive period {rec.ts}"),
-            (~np.isfinite(ends), "start {rec.t_m} plus period {rec.ts} is not finite"),
-            (np.r_[False, gap], "starts at {rec.t_m}, previous ended at {prev_end}"),
+            (ts <= 0.0, "nonpositive period {ts}"),
+            (~np.isfinite(ends), "start {t_m} plus period {ts} is not finite"),
+            (np.r_[False, gap], "starts at {t_m}, previous ended at {prev_end}"),
             (~((duty >= 0.0) & (duty <= 1.0)), "duty {d} outside [0, 1]"),
             (~in_cycle, "position {r} outside [0, {span}]"),
         )
     failed = np.array([mask for mask, _ in checks])
     cycles = np.flatnonzero(failed.any(axis=0))
     if cycles.size:
-        i = cycles[0]
-        rec = records[i]
-        d, r = rec.duty[p], rec.position[p]
+        i = cycles[0]  # the row of cycle i + 1
+        t, s, d, r = (float(column[i]) for column in (t_m, ts, duty, position))
         why = checks[np.argmax(failed[:, i])][1].format(
-            rec=rec, prev_end=float(ends[i - 1]), d=d, r=r, span=1.0 - d
+            t_m=t, ts=s, prev_end=float(ends[i - 1]), d=d, r=r, span=1.0 - d
         )
-        raise MalformedRecordsError(f"cycle {rec.m}: {why}")
+        raise MalformedRecordsError(f"cycle {i + 1}: {why}")
 
 
 def pulse_train(records: Sequence[CycleRecord], phase: str) -> PulseTrain:
@@ -136,7 +135,7 @@ def pulse_train(records: Sequence[CycleRecord], phase: str) -> PulseTrain:
     if not records:
         return PulseTrain(np.empty(0), np.empty(0), 0.0, 0.0)
     t_m, ts, duty, position = _columns(records, p)
-    _check_records(records, p, t_m, ts, duty, position)
+    _check_records(t_m, ts, duty, position)
     rises, falls = _edges(t_m, ts, duty, position)
     a, b = rises[falls > rises], falls[falls > rises]
     # a pulse opens a new on-interval only past the latest end so far

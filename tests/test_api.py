@@ -57,7 +57,7 @@ def test_public_names_resolve_and_removed_names_are_gone():
 
 
 def test_one_cancel_method_field():
-    # sns_rp_variant survives only as an init-only keyword and a config key
+    # sns_rp_variant survives only as an init-only StrategySpec keyword
     for cls, count in ((StrategySpec, 9), (ScenarioConfig, 23)):
         names = [f.name for f in fields(cls)]
         assert len(names) == count and "sns_rp_variant" not in names

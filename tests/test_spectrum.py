@@ -1,5 +1,6 @@
 """Tests for the exact transform, Welch estimates, and notch metrics."""
 
+import gc
 import math
 import os
 import signal
@@ -8,6 +9,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import weakref
 from pathlib import Path
 from unittest import mock
 
@@ -533,10 +535,18 @@ def test_pairwise_mean_matches_numpy_mean_bit_for_bit():
         # differently
         table = rng.random((5, n_seg)) * 10.0 ** rng.uniform(-10, 10, (5, n_seg))
         want = table.mean(axis=-1)
-        rows = table.T.copy()
-        got = spectrum_module._pairwise_sum(iter(rows), n_seg) / n_seg
-        # equal to numpy's mean, and the rows it read are left as they were
-        assert same_bits(got, want) and same_bits(rows, table.T), n_seg
+        buffer, calls = np.empty(5), []
+
+        def row(i):  # one buffer, refilled with column i for every call
+            calls.append(i)
+            buffer[:] = table[:, i]
+            return buffer
+
+        got = spectrum_module._pairwise_sum(row, n_seg) / n_seg
+        # equal to numpy's mean, reading each column once and writing none
+        assert same_bits(got, want), n_seg
+        assert sorted(calls) == list(range(n_seg)), n_seg
+        assert same_bits(buffer, table[:, calls[-1]]), n_seg
         order_seen |= not same_bits(np.cumsum(table, axis=-1)[:, -1] / n_seg, want)
     # a plain running sum differs somewhere, so the order is what is checked
     assert order_seen
@@ -551,10 +561,28 @@ def test_welch_peak_memory_per_input_sample():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # 8 bins-long accumulators and one segment's scratch: 5.1 B per sample
-    # measured with numpy 2.4; storing the 29-segment power table to
-    # average it took 10.4, and averaging it through a transposed copy 17
-    assert peak / wave.values.size <= 6.0
+    # at most 4 bins-long partial sums and one segment's buffers, its
+    # power formed in the FFT's output: 2.75 B per sample measured with
+    # numpy 2.4; 8 accumulators beside separate power and scratch buffers
+    # took 4.3, storing the 29-segment power table to average it 10.4,
+    # and averaging it through a transposed copy 17
+    assert peak / wave.values.size <= 3.0
+
+
+@pytest.mark.parametrize("n", [1 << 12, 1 << 16])  # 31 and 511 segments
+def test_welch_frees_its_waveform_without_the_garbage_collector(n):
+    # a reference cycle through the segment callback would keep the
+    # caller's raster alive until a collection: 5 MB more peak RSS in a
+    # 2 s simulate, whose raster outlived the PSD into the CSV writers
+    values = np.zeros(n)
+    alive = weakref.ref(values)
+    gc.disable()
+    try:
+        welch_psd(SampledWaveform(values=values, rate=1e3), 256)
+        del values
+        assert alive() is None
+    finally:
+        gc.enable()
 
 
 def test_welch_rejects_unknown_window_and_detrend():
