@@ -91,6 +91,19 @@ def rl_current(
     # one grid point past ceil(t1 * rate) covers the product's rounding
     t = np.arange(first, int(np.ceil(t1 * sample_rate)) + 1) / sample_rate
     t = t[t < t1]
-    seg = np.clip(np.searchsorted(times, t, side="right") - 1, 0, voltages.size - 1)
-    vals = steady[seg] + (knots[seg] - steady[seg]) * np.exp(-(t - times[seg]) / tau)
+    seg = np.searchsorted(times, t, side="right")
+    seg -= 1
+    np.clip(seg, 0, voltages.size - 1, out=seg)
+    # steady[seg] + (knots[seg] - steady[seg]) * exp(-(t - times[seg]) / tau),
+    # the same operations in the same order, in two grid-length buffers
+    decay = times[seg]
+    np.subtract(t, decay, out=decay)
+    np.negative(decay, out=decay)
+    np.divide(decay, tau, out=decay)
+    np.exp(decay, out=decay)
+    vals = (knots[:-1] - steady)[seg]
+    vals *= decay
+    np.take(steady, seg, out=decay, mode="clip")  # seg is in range: no copy
+    del seg
+    np.add(decay, vals, out=vals)
     return CurrentTrace(times=t, values=vals)

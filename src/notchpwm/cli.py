@@ -29,6 +29,7 @@ from typing import Iterable, Optional, Sequence, TextIO, get_type_hints
 
 import numpy as np
 
+from ._cells import cells
 from .circuit import CurrentTrace, LoadParams, rl_current
 from .modulator import ModulatorConfig
 from .scheduler import (
@@ -75,7 +76,7 @@ BASELINE_KINDS = ("rp", "csvpwm", "rf")
 
 # most samples per phase a run may raster.  `simulate` peaks near 10 B
 # per sample of a long run, 99 B per cycle of its one schedule alive at a
-# time and about 55 B per export row.  At the default 0.1 s export
+# time and about 39 B per export row.  At the default 0.1 s export
 # window, peak RSS of 49.9 s runs at 1 MHz (numpy 2.4) was 0.52 GB for
 # sns_rp at 2.5 kHz and 0.62 GB for rp at 10 kHz, so a run stays under 1 GB
 MAX_SAMPLES = 50_000_000
@@ -375,60 +376,65 @@ def _open_out(path: Path) -> TextIO:
 _WRITE_BLOCK_ROWS = 1 << 12
 
 
-def _column_text(values: np.ndarray) -> list[str]:
-    """The text of each cell of a 1-D column, by its dtype.
+def _rows_bytes(blocks: Sequence[np.ndarray]) -> bytes:
+    """CSV rows of equal-length 1-D column blocks, as bytes.
 
-    float64 cells are `repr`, bool cells 1 or 0, integer cells the decimal
-    or empty where negative (k's -1: no lock integer), and bytes (`S`)
-    cells are text formatted earlier.  Each distinct value is formatted
-    once, as `_fmt` does; floats are keyed on bits, keeping -0.0 apart.
+    Each column's cells come from `cells` as a (width, rows) matrix;
+    they are laid side by side in one NUL-padded uint8 matrix of rows,
+    with a comma after each cell and a newline after the last, and the
+    NULs are dropped.
     """
-    kind = values.dtype.kind
-    if kind == "S":  # a newline after each fixed-width cell, NUL padding dropped
-        lines = np.full((values.size, values.itemsize + 1), ord("\n"), np.uint8)
-        lines[:, :-1] = np.ascontiguousarray(values).view((np.uint8, values.itemsize))
-        return lines.tobytes().decode().replace("\0", "").split("\n")[:-1]
-    keys = values.view(np.uint64) if kind == "f" else values
-    distinct, index = np.unique(keys, return_inverse=True)
-    distinct = distinct.view(values.dtype).tolist()
-    if kind == "f":
-        text = map(repr, distinct)  # _fmt's rule, without its type tests
-    else:
-        text = (_fmt(None if v < 0 else v) for v in distinct)
-    return np.array(list(text), dtype=object)[index].tolist()
+    matrices = [cells(block) for block in blocks]
+    rows = np.empty((len(blocks[0]), sum(m.shape[0] + 1 for m in matrices)), np.uint8)
+    at = 0
+    for m in matrices:
+        rows[:, at : at + m.shape[0]] = m.T
+        at += m.shape[0] + 1
+        rows[:, at - 1] = ord(",")
+    rows[:, -1] = ord("\n")
+    return rows.tobytes().translate(None, b"\0")
 
 
 def _block_text(values: np.ndarray) -> np.ndarray:
-    """A float column formatted once, for writing more than once.
+    """A column's cells as one bytes (`S`) array, for writing more than once.
 
-    Its cells are `_column_text`'s, made _WRITE_BLOCK_ROWS at a time and
-    held as one bytes (`S`) array, about 8 B per row for sample times at
-    1 MHz, not as one string object per cell.
+    It is filled _WRITE_BLOCK_ROWS rows at a time into one array as wide
+    as the first block's widest cell; a later block with a wider cell
+    copies it once into a wider array.  Sample times at 1 MHz hold 8 B
+    per row.
     """
-    blocks = [
-        np.array(_column_text(values[lo : lo + _WRITE_BLOCK_ROWS]), dtype="S")
-        for lo in range(0, values.size, _WRITE_BLOCK_ROWS)
-    ]
-    return np.concatenate([np.array([], dtype="S"), *blocks])  # 0 rows too
+    text = np.zeros(0, dtype="S1")  # 0 rows
+    for lo in range(0, values.size, _WRITE_BLOCK_ROWS):
+        matrix = cells(values[lo : lo + _WRITE_BLOCK_ROWS])
+        lengths = np.count_nonzero(matrix, axis=0)
+        width = int(lengths.max())
+        if lo == 0:
+            text = np.zeros(values.size, dtype=f"S{max(width, 1)}")
+        elif width > text.itemsize:
+            text = text.astype(f"S{width}")
+        block = text[lo : lo + lengths.size].view(np.uint8).reshape(lengths.size, -1)
+        block[np.arange(text.itemsize) < lengths[:, None]] = np.frombuffer(
+            matrix.T.tobytes().translate(None, b"\0"), np.uint8
+        )
+    return text
 
 
 def _write_columns(path: Path, header: str, columns: Iterable[np.ndarray]) -> None:
     """Write equal-length 1-D arrays as CSV columns under a header.
 
-    `_column_text` formats the rows _WRITE_BLOCK_ROWS at a time, and a
-    block's cells are freed before the next block's are made, so the text
-    of the whole file is never held.
+    `_rows_bytes` formats the rows _WRITE_BLOCK_ROWS at a time, and a
+    block's text is freed before the next block's is made, so the text of
+    the whole file is never held.
     """
     columns = list(columns)
     lengths = sorted({len(col) for col in columns})
     if len(lengths) > 1:
         raise ValueError(f"columns have unequal lengths {lengths}")
-    with _open_out(path) as fh:
-        fh.write(header)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "wb") as fh:
+        fh.write(header.encode())
         for lo in range(0, lengths[0] if lengths else 0, _WRITE_BLOCK_ROWS):
-            cells = [_column_text(col[lo : lo + _WRITE_BLOCK_ROWS]) for col in columns]
-            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
-            del cells  # before the next block's cells are made
+            fh.write(_rows_bytes([col[lo : lo + _WRITE_BLOCK_ROWS] for col in columns]))
 
 
 def write_cycles_csv(path: Path, records: Sequence[CycleRecord]) -> None:

@@ -4,8 +4,9 @@ Synthetic single-phase schedules exercising the lock recursions outside the
 full scheduler, plus brute-force integer scans used as oracles for the
 closed-form k ranges, record-by-record versions of `edge_times` and
 `pulse_train` used as oracles, earlier whole-array versions of `sample`,
-`welch_psd`, the edge-phasor sum and the CSV column writer and the
-indexed knot loop of `rl_current` used as exact oracles, and Hypothesis
+`welch_psd`, the edge-phasor sum and the CSV column writer, the indexed
+knot loop of `rl_current` and its one-expression sampled branch used as
+exact oracles, and Hypothesis
 strategies for well-formed and malformed schedules.
 """
 
@@ -29,6 +30,7 @@ from notchpwm import (
     next_freq_sns_rf_rp,
     next_position_sns_rf_rp,
     pulse_train,
+    rl_current,
     sample,
     sns_rp_position,
     welch_psd,
@@ -303,6 +305,21 @@ def indexed_rl_knots(times, voltages, load):
         i = steady[j] + (i - steady[j]) * decay[j]
         knots[j + 1] = i
     return knots
+
+
+def expression_rl_current(times, voltages, load, rate):
+    """Oracle: `rl_current`'s uniform grid and its values in one expression.
+
+    The knots come from `rl_current` itself; each sample is formed by the
+    expression the sampled branch evaluated before it used buffers.
+    """
+    knots = rl_current(times, voltages, load).values
+    steady = voltages / load.resistance
+    first = int(np.ceil(times[0] * rate - 1e-12))
+    t = np.arange(first, int(np.ceil(times[-1] * rate)) + 1) / rate
+    t = t[t < times[-1]]
+    seg = np.clip(np.searchsorted(times, t, side="right") - 1, 0, voltages.size - 1)
+    return t, steady[seg] + (knots[seg] - steady[seg]) * np.exp(-(t - times[seg]) / load.tau)
 
 
 def repr_columns(header, columns):

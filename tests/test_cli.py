@@ -1,10 +1,12 @@
 """Tests for config parsing, artifact writing, and the command line."""
 
 import filecmp
+import math
 import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 import weakref
 from dataclasses import MISSING, fields
 from pathlib import Path
@@ -16,6 +18,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import notchpwm._cells as cells_module
 import notchpwm.cli as cli_module
 from conftest import repr_columns
 from notchpwm import (
@@ -62,6 +65,11 @@ def write_config(path, drop=(), **overrides):
     lines = [f"{k} = {v}" for k, v in base.items() if k not in drop]
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+def _cell_text(values):
+    """Each cell's text as `cells` makes it for the writers, NULs dropped."""
+    return [cell.tobytes().replace(b"\0", b"").decode() for cell in cells_module.cells(values).T]
 
 
 def read_report(path):
@@ -427,10 +435,9 @@ def test_current_and_waveform_share_one_time_column(tmp_path, monkeypatch, setti
     def check_current(path, trace, time_text):
         # the shared column, held as bytes, is what the current grid's own
         # times format to
-        cells = cli_module._column_text(time_text)
         written.append(
             time_text.dtype.kind == "S"
-            and cells == cli_module._column_text(trace.times)
+            and _cell_text(time_text) == _cell_text(trace.times)
         )
         write_current(path, trace, time_text)
 
@@ -580,11 +587,158 @@ def test_shared_time_column_is_held_as_block_text():
     finally:
         tracemalloc.stop()
     assert column.dtype.kind == "S" and len(column) == n
-    assert cli_module._column_text(column) == cli_module._column_text(times)
+    assert _cell_text(column) == _cell_text(times)
     # 8.05 B per row held (an S8 array) and 16.1 at peak, while the
     # formatted blocks are joined, measured with numpy 2.4; one string per
     # cell held 65 B per row, and 113 while it was formatted
     assert held / n <= 16.0 and peak / n <= 24.0
+
+
+def test_a_long_time_column_is_held_once():
+    n = 2_000_000  # a 2 s export window at 1 MHz
+    times = np.arange(n) / 1e6
+    tracemalloc.start()
+    try:
+        column = cli_module._block_text(times)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert column.dtype == np.dtype("S8")
+    assert column[[0, 1, 99_999, n - 1]].tolist() == [b"0.0", b"1e-06", b"0.099999", b"1.999999"]
+    # 8.0 B per row held and 8.45 at peak, measured with numpy 2.4: the
+    # column is filled in place.  Keeping every block and then their
+    # concatenation peaked at 16.1
+    assert held / n <= 8.5 and peak / n <= 10.0
+
+
+# floats that repr writes in every layout, and the values that its digits
+# are hardest to find for: sample times, rounded decimals, exact decimal
+# ties, powers of two and ten, zeros, inf, nan and subnormals
+_RATES = (1e6, 3e6, 44100.0, 1e6 / 3, 7e5)
+_hard_floats = st.one_of(
+    st.builds(lambda i, rate: i / rate, st.integers(0, 10**8), st.sampled_from(_RATES)),
+    st.builds(round, st.floats(-1e6, 1e6), st.integers(0, 15)),
+    st.floats(1e-6, 1e17) | st.floats(allow_nan=False, allow_infinity=False),
+    # 17 significant digits ending in 5, and 18 ending in 25 or 75
+    st.builds(float.__add__, st.integers(10**15, 2**51 - 1).map(float), st.sampled_from((0.25, 0.5, 0.75))),
+    # whole numbers whose neighbours' midpoints are short decimals
+    st.integers(2**53, 10**17).map(float),
+    st.sampled_from((1234567890123456.5, 0.5, 2.5, 1e16, 1e17, 1e23, 2.0**53)),
+    st.integers(-1074, 1023).map(lambda e: np.ldexp(1.0, e)),
+    st.integers(-30, 30).map(lambda e: 10.0**e),
+    st.sampled_from((0.0, np.inf, np.nan, 5e-324, 2.2250738585072014e-308)),
+    st.floats(0.0, 2.2250738585072014e-308, allow_subnormal=True),
+)
+
+
+def _ulps_away(x, n):
+    """The double n steps from x toward +inf (n > 0) or -inf (n < 0)."""
+    for _ in range(abs(n)):
+        x = math.nextafter(x, math.copysign(math.inf, n))
+    return float(x)
+
+
+_cell_floats = st.builds(
+    lambda x, n, negative: -_ulps_away(x, n) if negative else _ulps_away(x, n),
+    _hard_floats,
+    st.integers(-2, 2),
+    st.booleans(),
+)
+
+
+@hypothesis.settings(max_examples=500, deadline=None)
+@given(st.lists(_cell_floats, min_size=1, max_size=40))
+def test_float_cells_are_repr(values):
+    assert _cell_text(np.array(values)) == list(map(repr, values))
+
+
+def _sweep_values(category, rng, n):
+    """n seeded draws of one category of `_hard_floats`, as an array."""
+    if category == "sample times":
+        return np.arange(n) / rng.choice(_RATES, n)
+    if category == "rounded":
+        x = np.concatenate([np.round(rng.uniform(-1e6, 1e6, n // 80), d) for d in range(16)])
+        return _with_neighbours(x)
+    if category == "decimal ties":
+        quarters = rng.integers(4 * 10**15, 2**53, n // 2).astype(float) / 4.0
+        wholes = rng.integers(2**53, 10**17, n // 2).astype(float)
+        return np.concatenate([quarters, wholes, [1234567890123456.5]])
+    if category == "log-uniform":
+        return rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-8.0, 20.0, n)
+    if category == "powers":
+        twos = np.ldexp(1.0, np.arange(-1074, 1024))
+        tens = 10.0 ** np.arange(-30, 31)
+        return _with_neighbours(np.concatenate([twos, tens, -twos, -tens]))
+    if category == "special":
+        # one in 20 subnormal: repr takes microseconds on each
+        x = rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan], n)
+        subnormal = rng.random(n) < 0.05
+        x[subnormal] = rng.integers(1, 2**52, subnormal.sum(), dtype=np.uint64).view(float)
+        return x * rng.choice([-1.0, 1.0], n)
+    assert category == "bit patterns"
+    return rng.integers(0, 2**64, n, dtype=np.uint64).view(float)
+
+
+def _with_neighbours(x):
+    """x with each value's two neighbours on either side."""
+    steps = [x]
+    for direction in (np.inf, -np.inf):
+        y = x
+        for _ in range(2):
+            y = np.nextafter(y, direction)
+            steps.append(y)
+    return np.concatenate(steps)
+
+
+@pytest.mark.parametrize(
+    "category",
+    ["sample times", "rounded", "decimal ties", "log-uniform", "powers", "special", "bit patterns"],
+)
+def test_float_cells_are_repr_on_a_seeded_sweep(category):
+    values = _sweep_values(category, np.random.default_rng(2024), 10**6)
+    for lo in range(0, values.size, 1 << 16):
+        block = values[lo : lo + (1 << 16)]
+        text = "".join(f"{v!r}\n" for v in block.tolist())
+        assert cli_module._rows_bytes([block]) == text.encode(), category
+
+
+def test_the_fast_path_formats_normal_draws(monkeypatch):
+    # a kernel that gave every cell to repr would pass the tests above
+    fallen = []
+    fallback = cells_module._fallback
+
+    def counted(x, rows, out):
+        fallen.append(rows.size)
+        return fallback(x, rows, out)
+
+    monkeypatch.setattr(cells_module, "_fallback", counted)
+    rng = np.random.default_rng(7)
+    values = rng.normal(size=200_000) * 10.0 ** rng.integers(-5, 15, 200_000)
+    assert _cell_text(values) == list(map(repr, values.tolist()))
+    assert sum(fallen) <= 0.1 * values.size
+
+
+def test_the_writers_emit_no_runtime_warning(tmp_path):
+    rng = np.random.default_rng(11)
+    floats = np.concatenate(
+        [_sweep_values(category, rng, 2000) for category in ("special", "powers", "bit patterns")]
+    )
+    cfg = parse_config(
+        write_config(tmp_path / "run.cfg", out_dir=tmp_path / "out", **SNS_RP_NOTCH)
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cli_module._write_columns(
+            tmp_path / "floats.csv",
+            "",
+            [floats, floats.view(np.int64), floats > 0.0, np.array(list(map(repr, floats.tolist())), "S")],
+        )
+        cli_module._block_text(floats)
+        run_simulate(cfg)
+        run_compare(cfg, "csvpwm")
+        run_flatness(cfg)
+    rows = [row.split(",") for row in (tmp_path / "floats.csv").read_text().splitlines()]
+    assert [row[0] for row in rows] == [row[3] for row in rows] == list(map(repr, floats.tolist()))
 
 
 def test_write_cycles_csv_formats_a_block_at_a_time(tmp_path):
