@@ -17,6 +17,8 @@ from typing import Optional
 
 import numpy as np
 
+_GRID_BLOCK = 1 << 14  # grid points that a sampled `rl_current` evaluates at a time
+
 
 @dataclass(frozen=True)
 class LoadParams:
@@ -56,7 +58,9 @@ def rl_current(
     times holds the M + 1 segment boundaries, voltages the M segment
     values.  With sample_rate None the trace is returned at the segment
     boundaries; otherwise on the uniform grid k / sample_rate covering
-    [times[0], times[-1]).
+    [times[0], times[-1]), evaluated a block of grid points at a time into
+    `values`, so that besides `times` and `values` (16 B per grid point) it
+    holds only per-segment arrays and one block's temporaries.
     """
     times = np.asarray(times, dtype=float)
     voltages = np.asarray(voltages, dtype=float)
@@ -90,20 +94,25 @@ def rl_current(
     first = int(np.ceil(t0 * sample_rate - 1e-12))
     # one grid point past ceil(t1 * rate) covers the product's rounding
     t = np.arange(first, int(np.ceil(t1 * sample_rate)) + 1) / sample_rate
-    t = t[t < t1]
-    seg = np.searchsorted(times, t, side="right")
-    seg -= 1
-    np.clip(seg, 0, voltages.size - 1, out=seg)
+    # the grid increases, so the points before t1 are a prefix of it
+    t = t[: np.searchsorted(t, t1, side="left")]
+    offset = knots[:-1] - steady
+    values = np.empty(t.size)
     # steady[seg] + (knots[seg] - steady[seg]) * exp(-(t - times[seg]) / tau),
-    # the same operations in the same order, in two grid-length buffers
-    decay = times[seg]
-    np.subtract(t, decay, out=decay)
-    np.negative(decay, out=decay)
-    np.divide(decay, tau, out=decay)
-    np.exp(decay, out=decay)
-    vals = (knots[:-1] - steady)[seg]
-    vals *= decay
-    np.take(steady, seg, out=decay, mode="clip")  # seg is in range: no copy
-    del seg
-    np.add(decay, vals, out=vals)
-    return CurrentTrace(times=t, values=vals)
+    # the same operations in the same order, a block of the grid at a time
+    for lo in range(0, t.size, _GRID_BLOCK):
+        t_block = t[lo : lo + _GRID_BLOCK]
+        seg = np.searchsorted(times, t_block, side="right")
+        seg -= 1
+        np.clip(seg, 0, voltages.size - 1, out=seg)
+        decay = times[seg]
+        np.subtract(t_block, decay, out=decay)
+        np.negative(decay, out=decay)
+        np.divide(decay, tau, out=decay)
+        np.exp(decay, out=decay)
+        block = values[lo : lo + _GRID_BLOCK]
+        np.take(offset, seg, out=block, mode="clip")  # seg is in range
+        block *= decay
+        np.take(steady, seg, out=decay, mode="clip")
+        np.add(decay, block, out=block)
+    return CurrentTrace(times=t, values=values)

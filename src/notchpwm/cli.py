@@ -76,7 +76,7 @@ BASELINE_KINDS = ("rp", "csvpwm", "rf")
 
 # most samples per phase a run may raster.  `simulate` peaks near 10 B
 # per sample of a long run, 99 B per cycle of its one schedule alive at a
-# time and about 39 B per export row.  At the default 0.1 s export
+# time and about 28 B per export row.  At the default 0.1 s export
 # window, peak RSS of 49.9 s runs at 1 MHz (numpy 2.4) was 0.52 GB for
 # sns_rp at 2.5 kHz and 0.62 GB for rp at 10 kHz, so a run stays under 1 GB
 MAX_SAMPLES = 50_000_000
@@ -296,7 +296,7 @@ class RunArtifacts:
     them in a shorter run.  It is one int8 array of its own (1 byte per
     sample and phase), not a view of the command's one float raster,
     which every phase of every run is sampled into in turn.
-    `write_waveform_csv` makes the float columns and u_ab from it.
+    `write_waveform_csv` looks up the text of x_a, x_b, x_c and u_ab by it.
     """
 
     result: ScheduleResult
@@ -468,18 +468,50 @@ def write_psd_csv(path: Path, psd: Spectrum, baseline: Optional[Spectrum] = None
     _write_columns(path, header, columns)
 
 
+@dataclass(frozen=True)
+class _LevelCells:
+    """A column whose cells are looked up by 0/1 int8 level rows.
+
+    Row i of `rows` is bit i of the lookup, so `table` has 2 ** len(rows)
+    cells; a block of rows is gathered from it only when `_write_columns`
+    slices that block, and the column is never held whole.
+    """
+
+    table: np.ndarray
+    rows: tuple[np.ndarray, ...]
+
+    def __len__(self) -> int:
+        return len(self.rows[0])
+
+    def __getitem__(self, block: slice) -> np.ndarray:
+        return self.table[sum(row[block] << bit for bit, row in enumerate(self.rows))]
+
+
+# (x_a, x_b) of each u_ab lookup code: bit 0 is x_a, bit 1 x_b
+_LEVEL_PAIRS = np.array([[0, 1, 0, 1], [0, 0, 1, 1]], np.int8)
+
+
 def write_waveform_csv(
     path: Path, artifacts: RunArtifacts, u_dc: float, time_text: np.ndarray
 ) -> None:
     """waveform.csv of the export window; `time_text` is its time column.
 
-    Its float columns are made here from the int8 `levels`, and die with the call.
+    Each cell of x_a, x_b, x_c and u_ab is looked up, a block of rows at a
+    time, in the text of its value over the 2 levels or the 4 level pairs,
+    made as the float column would be (`astype(float)` and
+    `line_voltage`): no float column of the window is made.
     """
     levels = artifacts.levels
+    x_text = _block_text(np.array([0, 1], np.int8).astype(float))
+    u_text = _block_text(line_voltage(_LEVEL_PAIRS[0], _LEVEL_PAIRS[1], u_dc))
     _write_columns(
         path,
         "# notchpwm waveform v1\ntime_s,x_a,x_b,x_c,u_ab_v\n",
-        (time_text, *levels.astype(float), line_voltage(levels[0], levels[1], u_dc)),
+        (
+            time_text,
+            *(_LevelCells(x_text, (row,)) for row in levels),
+            _LevelCells(u_text, (levels[0], levels[1])),
+        ),
     )
 
 

@@ -5,8 +5,9 @@ full scheduler, plus brute-force integer scans used as oracles for the
 closed-form k ranges, record-by-record versions of `edge_times` and
 `pulse_train` used as oracles, earlier whole-array versions of `sample`,
 `welch_psd`, the edge-phasor sum and the CSV column writer, the indexed
-knot loop of `rl_current` and its one-expression sampled branch used as
-exact oracles, and Hypothesis
+knot loop of `rl_current` and its one-expression sampled branch, and
+`voltage_segments`' breaks by its former `np.unique` call, used as exact
+oracles, and Hypothesis
 strategies for well-formed and malformed schedules.
 """
 
@@ -320,6 +321,14 @@ def expression_rl_current(times, voltages, load, rate):
     t = t[t < times[-1]]
     seg = np.clip(np.searchsorted(times, t, side="right") - 1, 0, voltages.size - 1)
     return t, steady[seg] + (knots[seg] - steady[seg]) * np.exp(-(t - times[seg]) / load.tau)
+
+
+def unique_voltage_breaks(trains):
+    """Oracle: `voltage_segments`' breaks by its former `np.unique` call."""
+    duration = max(tr.duration for tr in trains)
+    edges = np.concatenate([tr.times for tr in trains])
+    pts = np.unique(np.concatenate((edges, [0.0, duration])))
+    return pts[(pts >= 0.0) & (pts <= duration)]
 
 
 def repr_columns(header, columns):

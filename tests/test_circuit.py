@@ -90,10 +90,11 @@ def test_sampled_current_peak_memory_per_row():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # 32.2 B per sample measured with numpy 2.4: the grid, its segment
-    # indices and two value buffers; one expression with a fresh array per
-    # operation peaked at 48.2
-    assert peak / trace.values.size <= 34.0
+    # 17.1 B per sample measured with numpy 2.4: the grid and its values,
+    # evaluated a block at a time; the grid, its segment indices and two
+    # value buffers of its length peaked at 32.2, and one expression with a
+    # fresh array per operation at 48.2
+    assert peak / trace.values.size <= 20.0
 
 
 def test_step_response_asymptote():

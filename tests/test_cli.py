@@ -577,6 +577,28 @@ def test_write_current_csv_overhead_per_row(tmp_path):
     assert peak / n <= 16.0
 
 
+def test_write_waveform_csv_overhead_per_row(tmp_path):
+    n = 1_000_000  # a 1 s export window at 1 MHz
+    levels = (np.random.default_rng(5).random((3, n)) < 0.5).astype(np.int8)
+    artifacts = cli_module.RunArtifacts(result=None, trains=None, levels=levels, psd=None)
+    time_text = cli_module._block_text(np.arange(n) / 1e6)
+    path = tmp_path / "waveform.csv"
+    tracemalloc.start()
+    try:
+        cli_module.write_waveform_csv(path, artifacts, 24.0, time_text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the file as the float columns of the window wrote it
+    floats = (*levels.astype(float), line_voltage(levels[0], levels[1], 24.0))
+    cli_module._write_columns(tmp_path / "floats.csv", "", (time_text, *floats))
+    header = b"# notchpwm waveform v1\ntime_s,x_a,x_b,x_c,u_ab_v\n"
+    assert path.read_bytes() == header + (tmp_path / "floats.csv").read_bytes()
+    # 0.4 B per row measured with numpy 2.4: one block of cells at a time;
+    # the four float columns of the window peaked at 32.4
+    assert peak / n <= 2.0
+
+
 def test_shared_time_column_is_held_as_block_text():
     n = 100_000
     times = np.arange(n) / 1e6
@@ -798,8 +820,8 @@ def test_run_artifacts_hold_only_the_export_window(tmp_path, monkeypatch):
 
 
 def test_run_artifacts_windows_are_float_copies_of_the_samples(tmp_path, monkeypatch):
-    # x_a, x_b and x_c are held as int8 levels, and made float only when
-    # waveform.csv is written
+    # x_a, x_b and x_c are held as int8 levels, and waveform.csv's cells
+    # are the text of the float samples, looked up a block at a time
     runs = _recorded(monkeypatch, "run_strategy")
     columns = []
     write_columns = cli_module._write_columns
@@ -826,11 +848,10 @@ def test_run_artifacts_windows_are_float_copies_of_the_samples(tmp_path, monkeyp
     assert len(runs) == 4 and len(columns) == 1
     (_, *waves, u_ab), (_, artifacts) = columns[0], runs[1]
     fresh = [sample(t, cfg.sample_rate_hz).values[:n_export] for t in artifacts.trains]
-    for wave, values in zip(waves, fresh, strict=True):
-        assert wave.dtype == np.float64
-        assert np.array_equal(wave.view(np.uint64), values.view(np.uint64))
-    expected = line_voltage(fresh[0], fresh[1], cfg.u_dc_v)
-    assert np.array_equal(u_ab.view(np.uint64), expected.view(np.uint64))
+    expected = [*fresh, line_voltage(fresh[0], fresh[1], cfg.u_dc_v)]
+    for column, values in zip([*waves, u_ab], expected, strict=True):
+        assert len(column) == n_export
+        assert _cell_text(column[0:n_export]) == list(map(repr, values.tolist()))
 
 
 @pytest.mark.parametrize("command", ["simulate", "compare"])
@@ -994,11 +1015,30 @@ def test_a_long_export_window_peaks_after_the_raster_is_freed(tmp_path):
     raster = 8 * cli_module._most_samples(parse_config(cfg_path))
     imported = _child_peak_rss("-c", "import notchpwm.cli")
     peak = _simulate_child_peak_rss(cfg_path, tmp_path / "out")
-    # 52 MB above on x86-64 Linux (glibc, numpy 2.4), about 50 B per export
-    # row: the window is held as int8 levels, and its float columns live
-    # only in write_waveform_csv, after the raster is freed.  Holding four
-    # float windows from the run through every writer gave 82
-    assert peak - imported - raster <= 62e6
+    # 18.6 MB above on x86-64 Linux (glibc, numpy 2.4), after the raster is
+    # freed: the window is held as int8 levels and written from lookups, and
+    # rl_current holds only its grid and values.  Float columns made in
+    # write_waveform_csv and rl_current's grid-length temporaries gave 35.3,
+    # and holding four float windows from the run through every writer 82
+    assert peak - imported - raster <= 28e6
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads ru_maxrss in kilobytes")
+def test_a_whole_run_export_window_peak_rss(tmp_path):
+    cfg_path = write_config(
+        tmp_path / "run.cfg",
+        duration_s=2.0,
+        seed=3,
+        psd_segment_len=65536,
+        export_window_s=2.0,
+        **SNS_RP_NOTCH,
+    )
+    peak = _simulate_child_peak_rss(cfg_path, tmp_path / "out")
+    # 90.5 MiB on x86-64 Linux (glibc, numpy 2.4), in rl_current: the time
+    # column's text, the int8 levels and the current's grid and values.
+    # Float columns in write_waveform_csv and rl_current's grid-length
+    # temporaries peaked at 121.3
+    assert peak <= 95 * 2**20
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads ru_maxrss in kilobytes")

@@ -666,6 +666,16 @@ PSD_CASES = {
         "simulate",
         dict(RP, psd_window="boxcar", psd_segment_len=2048, psd_overlap=0.75),
     ),
+    # 0.05 s export windows whose u_ab and current cells take each of
+    # repr's layouts: plain decimals at 7.5 V, cells the float formatter
+    # hands to repr itself at 1e-7 V, and exponents at 3e20 V
+    **{
+        f"simulate-sns_rp-0.05s-{u_dc:g}V": (
+            "simulate",
+            dict(SNS_RP, u_dc_v=u_dc, export_window_s=0.05),
+        )
+        for u_dc in (7.5, 1e-7, 3e20)
+    },
 }
 
 
@@ -714,6 +724,9 @@ PSD_GOLDEN = {
     "compare-sns_rp-rp": "99a07c64797a8d72ccfbebdd8dfe648e3208d5c9cb4331f9a17d0ea494066e80",
     "simulate-hamming-4096-0.25": "a66b7a683382876192d1317838b1a4e1c0a80e15be49881462e6eebe12b846d5",
     "simulate-boxcar-2048-0.75": "525749b326bdf960beaa57b0f58c83d741e9ad9a8c79b97a09c19696e974ce51",
+    "simulate-sns_rp-0.05s-7.5V": "cd8d84f5e6ee95a64765e62634465396015cb16a8e8f117306fca85b360991b0",
+    "simulate-sns_rp-0.05s-1e-07V": "d84609382b57f83df571229eb0d54977b02c080cbefbfdcb488bf26474d02255",
+    "simulate-sns_rp-0.05s-3e+20V": "084d41274974c8bd5e066ac550686174e5256d03e02b083c29dd0a57962e93c8",
 }
 
 
@@ -745,6 +758,21 @@ ARTIFACT_GOLDEN = {
         "waveform.csv": "f96718e1e900c3ad05215a6230cfd23f9908cbe1e5408682373701c79b28470f",
         "current.csv": "a11278502f4ab7ccc517f65cc4b375830e81e6da5523beb3c9eafe3e05d31fc3",
         "report.txt": "bd20be989862aca48f8466b410bfbc2fde5eb29195aa2a55d9adff0faffdc3b4",
+    },
+    "simulate-sns_rp-0.05s-7.5V": {
+        "waveform.csv": "e572caa8fba6e39d973adc5c734dbcd4a6dcac9e790d5d1be466ed1c98e3e552",
+        "current.csv": "8e041ed616fcfc73506dc29048454f620850e829858909c127a82da1148826da",
+        "report.txt": "396afaa053daa290cef23db19ff78f7f09c4ee6231863253f02a632d24179b2c",
+    },
+    "simulate-sns_rp-0.05s-1e-07V": {
+        "waveform.csv": "526c9e21b0dbdd7fe3ba4ebfceff3a8a258312d7b178550e4438a7ef3dbf8489",
+        "current.csv": "e56efcd3b2c0663b5ee566e050ff7fdb5c0aecf935af0dc5f492cd6aa03ff33c",
+        "report.txt": "f981e50185196b64d95bcd292c5ecf5614ae7e0c5de928d807b7e0205974e81b",
+    },
+    "simulate-sns_rp-0.05s-3e+20V": {
+        "waveform.csv": "bb9516b673be333f1fc870e4eac7772a2849ceeef86024c686ce9e1139ec7559",
+        "current.csv": "2aada9021fbb1a6a43a2ff95524c54f6472a431bf58ee1cded03c2a544b172fa",
+        "report.txt": "3be37a49ec0366c14cb78bba8f017e09db2a1eed83415cb0210f843f7b8992ad",
     },
 }
 

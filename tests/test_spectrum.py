@@ -593,11 +593,11 @@ def test_welch_rejects_unknown_window_and_detrend():
         welch_psd(wave, 1024, detrend="linear")
 
 
-def modules_imported_under(package):
-    """Modules of `package` that `import notchpwm, notchpwm.cli` loads in a
-    fresh interpreter."""
+def modules_imported_under(package, run=""):
+    """Modules of `package` loaded in a fresh interpreter by `import
+    notchpwm, notchpwm.cli` and then the statements `run`."""
     code = (
-        "import sys, notchpwm, notchpwm.cli; "
+        f"import sys, notchpwm, notchpwm.cli\n{run}\n"
         f"print(sorted(m for m in sys.modules if m == {package!r} "
         f"or m.startswith({package + '.'!r})))"
     )
@@ -617,6 +617,44 @@ def test_import_loads_no_concurrent_futures():
     # the edge sum's workers are plain threads; concurrent.futures would
     # add about 7 ms to every CLI run's import
     assert modules_imported_under("concurrent.futures") == "[]"
+
+
+def test_no_command_loads_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma (about 1.25 MiB resident) on first call
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "strategy = sns_rp\nm_index = 0.7\nf1_hz = 50\nu_dc_v = 24\n"
+        "duration_s = 0.04\nseed = 1\nfs_hz = 2500\nfx_hz = 7000\n"
+        "psd_segment_len = 4096\nexport_window_s = 0.01\n"
+    )
+    run = "\n".join(
+        f"assert notchpwm.cli.main({[command, '--config', str(cfg), '--out', str(tmp_path / command)]!r}) == 0"
+        for command in ("simulate", "compare", "flatness")
+    )
+    assert modules_imported_under("numpy.ma", run) == "[]"
+
+
+# the benchmark sweep's library sequence on one locked strategy and its
+# rp baseline
+_SWEEP_SEQUENCE = """
+import numpy as np
+from notchpwm import *
+mod = ModulatorConfig(m_index=0.7, f1=50.0, u_dc=24.0)
+psds = []
+for spec in (StrategySpec(kind=StrategyKind.SNS_RP, fs=2500.0, fx=7000.0),
+             StrategySpec(kind=StrategyKind.RP, fs=2500.0)):
+    records = schedule(spec, mod, 0.1, 3).records
+    trains = [pulse_train(records, p) for p in "abc"]
+    [cancellation_residual(records, p, 7000.0) for p in "abc"]
+    psds.append(analytic_psd(records, "a", 7000.0 + np.arange(-100, 100) * 10.0))
+    breaks, volts = voltage_segments(trains, 24.0, "a")
+    rl_current(breaks, volts, LoadParams(resistance=1.02, inductance=0.00059))
+notch_report(psds[0], psds[1], 7000.0, 100.0)
+"""
+
+
+def test_the_sweep_sequence_loads_no_numpy_ma():
+    assert modules_imported_under("numpy.ma", _SWEEP_SEQUENCE) == "[]"
 
 
 def test_welch_records_its_settings():

@@ -21,6 +21,7 @@ from conftest import (
     rec,
     same_bits,
     schedules,
+    unique_voltage_breaks,
 )
 from notchpwm import (
     MalformedRecordsError,
@@ -501,6 +502,31 @@ def test_voltage_segments_match_sampled_voltage():
     t = waves[0].times
     idx = np.clip(np.searchsorted(breaks, t, side="right") - 1, 0, seg_values.size - 1)
     assert np.array_equal(seg_values[idx], u_a)
+
+
+@st.composite
+def shared_edge_trains(draw):
+    """Three phase trains whose edges are drawn from one small pool holding
+    0 (or -0.0) and the schedule end, so that edges coincide across phases."""
+    duration = draw(st.sampled_from((1e-3, 0.02, 1.0 / 3.0, 0.25)))
+    inner = st.floats(0.0, duration, exclude_min=True, exclude_max=True)
+    pool = sorted({*draw(st.lists(inner, max_size=6)), duration})
+    trains = []
+    for _ in "abc":
+        zero = draw(st.sampled_from(([], [0.0], [-0.0])))
+        picked = draw(st.lists(st.sampled_from(pool), unique=True, max_size=len(pool)))
+        times = np.array(zero + sorted(picked))
+        levels = np.resize([1.0, 0.0], times.size)
+        end = draw(st.sampled_from((duration, times[-1:].sum())))  # the last edge, or 0
+        trains.append(PulseTrain(times, levels, end, 2500.0))
+    return trains
+
+
+@given(shared_edge_trains())
+@example([PulseTrain(np.array([0.0, 0.25]), np.array([1.0, 0.0]), 0.25, 2500.0)] * 3)
+def test_voltage_segments_match_the_unique_oracle(trains):
+    breaks, _ = voltage_segments(trains, 24.0)
+    assert same_bits(breaks, unique_voltage_breaks(trains))
 
 
 def test_voltage_segments_needs_three_trains():
