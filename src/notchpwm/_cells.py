@@ -168,8 +168,6 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
     if sys.float_repr_style != "short":  # repr's digits are not the shortest
         return _fallback(x, np.arange(n), np.zeros((0, n), np.uint8))
     a = np.abs(x)
-    if (a < 1e16).all() and (np.floor(a) == a).all():
-        return _integral_cells(x, a)
     nonzero = np.isfinite(a) & (a != 0.0)
     c, decpt, ok = _shortest(np.where(nonzero, a, 1.0))
     simple = ok & nonzero  # zeros are "0.0", the digit 0 before the point
@@ -231,14 +229,6 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
     if fallback.any():
         out = _fallback(x, np.flatnonzero(fallback), out)
     return out
-
-
-def _integral_cells(x: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """repr's text of floats that are whole numbers below 10^16: "-ddd.0"."""
-    sign = np.signbit(x)
-    parts = [(sign * np.uint8(_MINUS))[None]] if sign.any() else []
-    parts += [_int_cells(a.astype(np.int64)), np.array([[_DOT], [_ZERO]], np.uint8).repeat(x.size, 1)]
-    return np.concatenate(parts)
 
 
 def _fallback(x: np.ndarray, rows: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -39,28 +39,20 @@ class LoadParams:
         return self.inductance / self.resistance
 
 
-@dataclass(frozen=True)
-class CurrentTrace:
-    """Current samples i(times[k]) through the load."""
-
-    times: np.ndarray
-    values: np.ndarray
-
-
 def rl_current(
     times: np.ndarray,
     voltages: np.ndarray,
     load: LoadParams,
     sample_rate: Optional[float] = None,
-) -> CurrentTrace:
+) -> np.ndarray:
     """Exact RL current for a piecewise-constant voltage.
 
-    times holds the M + 1 segment boundaries, voltages the M segment
-    values.  With sample_rate None the trace is returned at the segment
-    boundaries; otherwise on the uniform grid k / sample_rate covering
-    [times[0], times[-1]), evaluated a block of grid points at a time into
-    `values`, so that besides `times` and `values` (16 B per grid point) it
-    holds only per-segment arrays and one block's temporaries.
+    times holds the M + 1 finite segment boundaries, voltages the M segment
+    values.  With sample_rate None the current is returned at the segment
+    boundaries, i(times[j]); otherwise at k / sample_rate for each k whose
+    instant lies in [times[0], times[-1]), evaluated a block of instants at
+    a time into the result, so that besides it (8 B per instant) only
+    per-segment arrays and one block's temporaries are held.
     """
     times = np.asarray(times, dtype=float)
     voltages = np.asarray(voltages, dtype=float)
@@ -68,8 +60,12 @@ def rl_current(
         raise ValueError(
             f"need len(times) == len(voltages) + 1, got {times.size} and {voltages.size}"
         )
+    if not np.isfinite(times).all():
+        raise ValueError("times (the segment boundaries) must be finite")
     if np.any(np.diff(times) < 0.0):
         raise ValueError("segment boundaries must be nondecreasing")
+    if sample_rate is not None and not 0.0 < sample_rate < np.inf:
+        raise ValueError(f"sample_rate must be positive and finite, got {sample_rate}")
 
     tau = load.tau
     steady = voltages / load.resistance
@@ -86,22 +82,22 @@ def rl_current(
     knots = np.array(knots, dtype=float)
 
     if sample_rate is None:
-        return CurrentTrace(times=times, values=knots)
+        return knots
 
-    if sample_rate <= 0.0:
-        raise ValueError(f"sample rate must be positive, got {sample_rate}")
     t0, t1 = times[0], times[-1]
     first = int(np.ceil(t0 * sample_rate - 1e-12))
-    # one grid point past ceil(t1 * rate) covers the product's rounding
-    t = np.arange(first, int(np.ceil(t1 * sample_rate)) + 1) / sample_rate
-    # the grid increases, so the points before t1 are a prefix of it
-    t = t[: np.searchsorted(t, t1, side="left")]
+    # k / rate increases with k, and whatever the product's rounding every
+    # k below last - 2 lies before t1, so only the last three k are checked
+    last = int(np.ceil(t1 * sample_rate))
+    tail = np.arange(max(first, last - 2), last + 1)
+    n = int(tail[0]) - first + int(np.count_nonzero(tail / sample_rate < t1))
     offset = knots[:-1] - steady
-    values = np.empty(t.size)
+    values = np.empty(n)
     # steady[seg] + (knots[seg] - steady[seg]) * exp(-(t - times[seg]) / tau),
-    # the same operations in the same order, a block of the grid at a time
-    for lo in range(0, t.size, _GRID_BLOCK):
-        t_block = t[lo : lo + _GRID_BLOCK]
+    # the same operations in the same order, a block of instants at a time
+    for lo in range(0, n, _GRID_BLOCK):
+        block = values[lo : lo + _GRID_BLOCK]
+        t_block = np.arange(first + lo, first + lo + block.size) / sample_rate
         seg = np.searchsorted(times, t_block, side="right")
         seg -= 1
         np.clip(seg, 0, voltages.size - 1, out=seg)
@@ -110,9 +106,8 @@ def rl_current(
         np.negative(decay, out=decay)
         np.divide(decay, tau, out=decay)
         np.exp(decay, out=decay)
-        block = values[lo : lo + _GRID_BLOCK]
         np.take(offset, seg, out=block, mode="clip")  # seg is in range
         block *= decay
         np.take(steady, seg, out=decay, mode="clip")
         np.add(decay, block, out=block)
-    return CurrentTrace(times=t, values=values)
+    return values

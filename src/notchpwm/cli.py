@@ -30,7 +30,7 @@ from typing import Iterable, Optional, Sequence, TextIO, get_type_hints
 import numpy as np
 
 from ._cells import cells
-from .circuit import CurrentTrace, LoadParams, rl_current
+from .circuit import LoadParams, rl_current
 from .modulator import ModulatorConfig
 from .scheduler import (
     PHASES,
@@ -76,7 +76,7 @@ BASELINE_KINDS = ("rp", "csvpwm", "rf")
 
 # most samples per phase a run may raster.  `simulate` peaks near 10 B
 # per sample of a long run, 99 B per cycle of its one schedule alive at a
-# time and about 28 B per export row.  At the default 0.1 s export
+# time and about 13 B per export row.  At the default 0.1 s export
 # window, peak RSS of 49.9 s runs at 1 MHz (numpy 2.4) was 0.52 GB for
 # sns_rp at 2.5 kHz and 0.62 GB for rp at 10 kHz, so a run stays under 1 GB
 MAX_SAMPLES = 50_000_000
@@ -515,12 +515,12 @@ def write_waveform_csv(
     )
 
 
-def write_current_csv(path: Path, trace: CurrentTrace, time_text: np.ndarray) -> None:
-    """current.csv; `time_text` is `trace.times` through `_block_text`."""
+def write_current_csv(path: Path, values: np.ndarray, time_text: np.ndarray) -> None:
+    """current.csv; `time_text` is the instants of `values` through `_block_text`."""
     _write_columns(
         path,
         "# notchpwm current v1\ntime_s,i_a_amps\n",
-        (time_text, trace.values),
+        (time_text, values),
     )
 
 
@@ -569,9 +569,7 @@ def _report_entries(
     return entries
 
 
-def _phase_a_current(
-    artifacts: RunArtifacts, cfg: ScenarioConfig
-) -> CurrentTrace:
+def _phase_a_current(artifacts: RunArtifacts, cfg: ScenarioConfig) -> np.ndarray:
     breaks, volts = voltage_segments(artifacts.trains, cfg.u_dc_v, "a")
     # truncate the segment list where waveform.csv's samples end, closing
     # the last partial segment there, so both files share one time column;

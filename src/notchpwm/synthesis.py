@@ -45,13 +45,12 @@ class RateTooLowError(ValueError):
 class PulseTrain:
     """Two-level switch function of one phase leg as an edge list.
 
-    times[i] is an edge instant and levels[i] the level that holds from
-    times[i] (inclusive) until the next edge; the level before the first
-    edge is 0.  Edges strictly increase.
+    times holds the strictly increasing edge instants, which alternate on
+    and off: the level is 0 before times[0], 1 from times[0] (inclusive)
+    until times[1], 0 from times[1], and so on.
     """
 
     times: np.ndarray
-    levels: np.ndarray
     duration: float
     max_switching_freq: float
 
@@ -133,7 +132,7 @@ def pulse_train(records: Sequence[CycleRecord], phase: str) -> PulseTrain:
     """
     p = _phase_index(phase)
     if not records:
-        return PulseTrain(np.empty(0), np.empty(0), 0.0, 0.0)
+        return PulseTrain(np.empty(0), 0.0, 0.0)
     t_m, ts, duty, position = _columns(records, p)
     _check_records(t_m, ts, duty, position)
     rises, falls = _edges(t_m, ts, duty, position)
@@ -144,7 +143,6 @@ def pulse_train(records: Sequence[CycleRecord], phase: str) -> PulseTrain:
     ends = np.append(run_end[opens[1:] - 1], run_end[-1:])
     return PulseTrain(
         times=np.column_stack((a[opens], ends)).ravel(),
-        levels=np.tile([1.0, 0.0], opens.size),
         duration=float(t_m[-1] + ts[-1]),
         max_switching_freq=1.0 / float(ts.min()),
     )
@@ -157,16 +155,18 @@ def sample(
 
     Samples lie at k / rate for k = 0 .. n - 1, where n = round(duration *
     rate) is the nearest integer (ties to even).  An edge falling exactly
-    on a sample instant takes effect at that sample.  Raises ValueError
-    naming the first edge that does not follow its predecessor, since the
-    edges must strictly increase, or else the first edge that is not
-    finite (a lone NaN edge has no predecessor to fail against).
+    on a sample instant takes effect at that sample, so sample k is 1 when
+    an odd number of edges lie at or before k / rate.  Raises ValueError if
+    the rate is not positive and finite; else naming the first edge that
+    does not follow its predecessor, since the edges must strictly
+    increase, or else the first edge that is not finite (a lone NaN edge
+    has no predecessor to fail against).
 
     With `out` (1-D C-contiguous float64, n or more long) `values` is out[:n],
     out[n:] is untouched, and the next sample into `out` overwrites `values`.
     """
-    if rate <= 0.0:
-        raise ValueError(f"sample rate must be positive, got {rate}")
+    if not 0.0 < rate < np.inf:
+        raise ValueError(f"rate must be positive and finite, got {rate}")
     if rate < MIN_SAMPLES_PER_CYCLE * train.max_switching_freq:
         raise RateTooLowError(
             f"rate {rate:g} Hz gives fewer than {MIN_SAMPLES_PER_CYCLE:g} samples "
@@ -205,7 +205,7 @@ def sample(
     # in force there, so a block's runs are one slice of `runs`
     block_starts = np.arange(0, n, _FILL_BLOCK)
     at = np.searchsorted(starts, block_starts, side="right")
-    levels = np.concatenate(([0.0], train.levels))
+    levels = np.resize([0.0, 1.0], times.size + 1)  # 0, then the level after each edge
     levels = np.insert(levels, at, levels[at - 1])
     runs = np.diff(np.insert(starts, at, block_starts), append=n)
     del starts
@@ -235,7 +235,8 @@ def voltage_segments(
 
     Returns (breaks, values): breaks are the M + 1 segment boundaries
     starting at 0 and ending at the schedule end; values[j] is the phase
-    voltage on [breaks[j], breaks[j + 1]).
+    voltage on [breaks[j], breaks[j + 1]).  A leg is on in a segment when
+    an odd number of its edges lie at or before the segment's start.
     """
     if len(trains) != 3:
         raise ValueError(f"need the three phase trains, got {len(trains)}")
@@ -249,11 +250,10 @@ def voltage_segments(
     breaks = pts[(pts >= 0.0) & (pts <= duration)]
     starts = breaks[:-1]
 
-    states = []
-    for tr in trains:
-        idx = np.searchsorted(tr.times, starts, side="right")
-        levels_ext = np.concatenate(([0.0], tr.levels))
-        states.append(levels_ext[idx])
+    states = [
+        (np.searchsorted(tr.times, starts, side="right") & 1).astype(float)
+        for tr in trains
+    ]
     q, r2 = (p + 1) % 3, (p + 2) % 3
     values = u_dc * (2.0 * states[p] - states[q] - states[r2]) / 3.0
     return breaks, values

@@ -236,15 +236,12 @@ def loop_pulse_train(records, phase):
             intervals.append((a, b))
 
     if not records:
-        return PulseTrain(np.empty(0), np.empty(0), 0.0, 0.0)
+        return PulseTrain(np.empty(0), 0.0, 0.0)
     times = np.empty(2 * len(intervals))
-    levels = np.empty(2 * len(intervals))
     for i, (a, b) in enumerate(intervals):
         times[2 * i] = a
         times[2 * i + 1] = b
-        levels[2 * i] = 1.0
-        levels[2 * i + 1] = 0.0
-    return PulseTrain(times, levels, prev_end, 1.0 / min_ts)
+    return PulseTrain(times, prev_end, 1.0 / min_ts)
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +249,10 @@ def loop_pulse_train(records, phase):
 
 
 def bincount_sample(train, rate):
-    """Oracle: `sample` by counting the edges at or before each sample."""
+    """Oracle: `sample` by counting the edges at or before each sample.
+
+    Edges alternate on and off, so a sample is on after an odd count.
+    """
     n = int(round(train.duration * rate))
     first = np.ceil(train.times * rate)
     first -= (first - 1.0) / rate >= train.times
@@ -260,8 +260,7 @@ def bincount_sample(train, rate):
     edges_seen = np.bincount(
         np.clip(first, 0, n).astype(np.intp), minlength=n + 1
     )[:n].cumsum()
-    levels_ext = np.concatenate(([0.0], train.levels))
-    return levels_ext[edges_seen]
+    return (edges_seen % 2).astype(float)
 
 
 def transpose_welch(waveform, segment_len, overlap=0.5, window="hann", detrend="constant"):
@@ -309,18 +308,19 @@ def indexed_rl_knots(times, voltages, load):
 
 
 def expression_rl_current(times, voltages, load, rate):
-    """Oracle: `rl_current`'s uniform grid and its values in one expression.
+    """Oracle: `rl_current`'s values on its uniform grid in one expression.
 
-    The knots come from `rl_current` itself; each sample is formed by the
-    expression the sampled branch evaluated before it used buffers.
+    The knots come from `rl_current` itself; the grid is built whole and
+    each sample is formed by the expression the sampled branch evaluated
+    before it used buffers.
     """
-    knots = rl_current(times, voltages, load).values
+    knots = rl_current(times, voltages, load)
     steady = voltages / load.resistance
     first = int(np.ceil(times[0] * rate - 1e-12))
     t = np.arange(first, int(np.ceil(times[-1] * rate)) + 1) / rate
     t = t[t < times[-1]]
     seg = np.clip(np.searchsorted(times, t, side="right") - 1, 0, voltages.size - 1)
-    return t, steady[seg] + (knots[seg] - steady[seg]) * np.exp(-(t - times[seg]) / load.tau)
+    return steady[seg] + (knots[seg] - steady[seg]) * np.exp(-(t - times[seg]) / load.tau)
 
 
 def unique_voltage_breaks(trains):

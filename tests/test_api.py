@@ -13,14 +13,17 @@ from notchpwm import (
     SeededRng,
     Spectrum,
     StrategySpec,
+    circuit,
     scheduler,
     spectrum,
     synthesis,
 )
 from notchpwm.cli import ScenarioConfig
 
-# helpers that only tests called, and the error only one of them raised
+# helpers that only tests called, the error only one of them raised, and
+# a result type whose times column no caller read
 REMOVED = {
+    circuit: ("CurrentTrace",),
     scheduler: ("InfeasibleError", "next_position_sns_rp"),
     synthesis: ("phase_voltages",),
     spectrum: ("rfft_grid",),
@@ -46,12 +49,7 @@ def test_public_names_resolve_and_removed_names_are_gone():
     ]
     assert [f.name for f in fields(SampledWaveform)] == ["values", "rate"]
     # state that nothing read
-    assert [f.name for f in fields(PulseTrain)] == [
-        "times",
-        "levels",
-        "duration",
-        "max_switching_freq",
-    ]
+    assert [f.name for f in fields(PulseTrain)] == ["times", "duration", "max_switching_freq"]
     assert not hasattr(RunStats(), "total_fallbacks")
     assert not hasattr(SeededRng(1), "seed")
 

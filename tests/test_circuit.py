@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import expression_rl_current, indexed_rl_knots, same_bits
-from notchpwm import CurrentTrace, LoadParams, rl_current
+from notchpwm import LoadParams, rl_current
 
 LOAD = LoadParams(resistance=1.02, inductance=0.59e-3)
 TAU = 0.59e-3 / 1.02
@@ -28,18 +28,17 @@ def test_load_validation():
 
 
 def test_step_response_one_time_constant():
-    trace = rl_current(np.array([0.0, TAU]), np.array([24.0]), LOAD)
+    current = rl_current(np.array([0.0, TAU]), np.array([24.0]), LOAD)
     want = (24.0 / 1.02) * (1.0 - math.exp(-1.0))
-    assert trace.values[0] == 0.0
-    assert trace.values[1] == pytest.approx(want, rel=1e-12)
+    assert current[0] == 0.0
+    assert current[1] == pytest.approx(want, rel=1e-12)
 
 
 def test_zero_voltage_decay():
     load = LoadParams(resistance=1.02, inductance=0.59e-3, initial_current=2.0)
     times = np.array([0.0, TAU, 2.0 * TAU, 3.0 * TAU])
-    trace = rl_current(times, np.zeros(3), load)
     want = 2.0 * np.exp(-times / TAU)
-    assert trace.values == pytest.approx(want, rel=1e-12)
+    assert rl_current(times, np.zeros(3), load) == pytest.approx(want, rel=1e-12)
 
 
 @settings(max_examples=150, deadline=None)
@@ -54,7 +53,8 @@ def test_knots_match_indexed_loop(spans, data, resistance, inductance, initial):
     times = np.concatenate(([1e-3], 1e-3 + np.cumsum(spans)))
     voltages = data.draw(arrays(float, spans.size, elements=st.floats(-100.0, 100.0)))
     load = LoadParams(resistance, inductance, initial_current=initial)
-    knots = rl_current(times, voltages, load).values
+    knots = rl_current(times, voltages, load)
+    assert isinstance(knots, np.ndarray)
     assert same_bits(knots, indexed_rl_knots(times, voltages, load))
 
 
@@ -74,9 +74,8 @@ def test_sampled_current_matches_one_expression_bit_for_bit(
     times = start + np.concatenate(([0.0], np.cumsum(spans)))
     voltages = data.draw(arrays(float, spans.size, elements=st.floats(-100.0, 100.0)))
     load = LoadParams(resistance, inductance, initial_current=initial)
-    trace = rl_current(times, voltages, load, sample_rate=rate)
-    t, values = expression_rl_current(times, voltages, load, rate)
-    assert same_bits(trace.times, t) and same_bits(trace.values, values)
+    values = rl_current(times, voltages, load, sample_rate=rate)
+    assert same_bits(values, expression_rl_current(times, voltages, load, rate))
 
 
 def test_sampled_current_peak_memory_per_row():
@@ -86,20 +85,21 @@ def test_sampled_current_peak_memory_per_row():
     voltages = rng.choice([-16.0, 0.0, 8.0, 16.0], spans.size)
     tracemalloc.start()
     try:
-        trace = rl_current(times, voltages, LOAD, sample_rate=1e6)
+        values = rl_current(times, voltages, LOAD, sample_rate=1e6)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # 17.1 B per sample measured with numpy 2.4: the grid and its values,
-    # evaluated a block at a time; the grid, its segment indices and two
-    # value buffers of its length peaked at 32.2, and one expression with a
-    # fresh array per operation at 48.2
-    assert peak / trace.values.size <= 20.0
+    # 9.9 B per sample measured with numpy 2.4: the values, evaluated a
+    # block of instants at a time; the grid's times beside them peaked at
+    # 17.1, the grid, its segment indices and two value buffers of its
+    # length at 32.2, and one expression with a fresh array per operation
+    # at 48.2
+    assert peak / values.size <= 11.0
 
 
 def test_step_response_asymptote():
-    trace = rl_current(np.array([0.0, 50.0 * TAU]), np.array([24.0]), LOAD)
-    assert trace.values[-1] == pytest.approx(24.0 / 1.02, rel=1e-9)
+    current = rl_current(np.array([0.0, 50.0 * TAU]), np.array([24.0]), LOAD)
+    assert current[-1] == pytest.approx(24.0 / 1.02, rel=1e-9)
 
 
 def test_matches_runge_kutta_oracle():
@@ -117,7 +117,7 @@ def test_matches_runge_kutta_oracle():
 
     voltages = rng.uniform(-24.0, 24.0, n_seg)
     times = np.arange(n_seg + 1) * seg_span
-    exact = rl_current(times, voltages, LOAD).values[-1]
+    exact = rl_current(times, voltages, LOAD)[-1]
 
     i = 0.0
     for u in voltages:
@@ -127,11 +127,11 @@ def test_matches_runge_kutta_oracle():
 
 
 def test_current_moves_monotonically_toward_steady_state():
-    trace = rl_current(
+    current = rl_current(
         np.array([0.0, 5.0 * TAU]), np.array([24.0]), LOAD, sample_rate=2e6
     )
-    assert np.all(np.diff(trace.values) > 0.0)
-    assert np.all(trace.values < 24.0 / 1.02)
+    assert np.all(np.diff(current) > 0.0)
+    assert np.all(current < 24.0 / 1.02)
 
 
 def test_periodic_drive_converges_geometrically():
@@ -140,8 +140,7 @@ def test_periodic_drive_converges_geometrically():
     n_periods = 12
     times = np.arange(2 * n_periods + 1) * half
     voltages = np.tile([24.0, 0.0], n_periods)
-    trace = rl_current(times, voltages, LOAD)
-    starts = trace.values[::2]  # current at each period start
+    starts = rl_current(times, voltages, LOAD)[::2]  # current at each period start
     diffs = np.abs(np.diff(starts))
     ratios = diffs[1:] / diffs[:-1]
     want = math.exp(-period / TAU)
@@ -152,12 +151,13 @@ def test_uniform_resampling_matches_closed_form():
     times = np.array([0.0, TAU, 3.0 * TAU])
     voltages = np.array([24.0, -12.0])
     rate = 1e6
-    trace = rl_current(times, voltages, LOAD, sample_rate=rate)
-    knots = rl_current(times, voltages, LOAD).values
+    values = rl_current(times, voltages, LOAD, sample_rate=rate)
+    knots = rl_current(times, voltages, LOAD)
 
-    assert trace.times[0] == 0.0
-    assert trace.times[-1] < 3.0 * TAU
-    for t, val in zip(trace.times, trace.values):
+    # the instants k / rate in [0, 3 tau)
+    assert values.size == math.ceil(3.0 * TAU * rate)
+    for k, val in enumerate(values):
+        t = k / rate
         j = 0 if t < TAU else 1
         steady = voltages[j] / 1.02
         want = steady + (knots[j] - steady) * math.exp(-(t - times[j]) / TAU)
@@ -174,8 +174,12 @@ def test_uniform_resampling_matches_closed_form():
     ],
 )
 def test_uniform_grid_keeps_the_last_point_before_the_end(t0, t1, ks):
-    trace = rl_current(np.array([t0, t1]), np.array([1.0]), LOAD, sample_rate=1e6)
-    assert np.array_equal(trace.times, np.array(ks) / 1e6)
+    # -1 A at t0, rising toward 1 A: each instant has its own value
+    load = LoadParams(resistance=1.0, inductance=1e-3, initial_current=-1.0)
+    values = rl_current(np.array([t0, t1]), np.array([1.0]), load, sample_rate=1e6)
+    t = np.array(ks) / 1e6
+    assert values.size == len(ks)
+    assert same_bits(values, 1.0 + (-1.0 - 1.0) * np.exp(-(t - t0) / load.tau))
 
 
 @given(
@@ -183,9 +187,13 @@ def test_uniform_grid_keeps_the_last_point_before_the_end(t0, t1, ks):
     st.sampled_from([1e5, 1e6, 1.25e6, 3e6]),
 )
 def test_uniform_grid_covers_the_interval(t1, rate):
-    times = rl_current(np.array([0.0, t1]), np.array([1.0]), LOAD, sample_rate=rate).times
-    assert np.array_equal(times, np.arange(times.size) / rate)
-    assert times[-1] < t1 <= times.size / rate
+    values = rl_current(np.array([0.0, t1]), np.array([24.0]), LOAD, sample_rate=rate)
+    n = values.size
+    # the instants k / rate before t1, and no more
+    assert (n - 1) / rate < t1 <= n / rate
+    steady = 24.0 / 1.02
+    t = np.arange(n) / rate
+    assert same_bits(values, steady + (0.0 - steady) * np.exp(-(t - 0.0) / TAU))
 
 
 def test_input_validation():
@@ -197,7 +205,19 @@ def test_input_validation():
         rl_current(np.array([0.0, 1.0]), np.array([1.0]), LOAD, sample_rate=0.0)
 
 
-def test_trace_is_a_plain_container():
-    trace = rl_current(np.array([0.0, TAU]), np.array([24.0]), LOAD)
-    assert isinstance(trace, CurrentTrace)
-    assert trace.times.shape == trace.values.shape
+@pytest.mark.parametrize(
+    "times, rate, name",
+    [
+        ([0.0, math.nan], None, "times"),
+        ([math.nan, 1e-3], 1e6, "times"),
+        ([0.0, math.inf], None, "times"),
+        ([0.0, math.inf], 1e6, "times"),
+        ([-math.inf, 0.0], 1e6, "times"),
+        ([0.0, 1e-3], math.nan, "sample_rate"),
+        ([0.0, 1e-3], math.inf, "sample_rate"),
+        ([0.0, 1e-3], -math.inf, "sample_rate"),
+    ],
+)
+def test_non_finite_boundaries_and_rates_are_rejected(times, rate, name):
+    with pytest.raises(ValueError, match=f"^{name} "):
+        rl_current(np.array(times), np.array([1.0]), LOAD, sample_rate=rate)

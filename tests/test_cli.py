@@ -24,7 +24,6 @@ from conftest import repr_columns
 from notchpwm import (
     CancelMethod,
     ConfigError,
-    CurrentTrace,
     ModulatorConfig,
     PulsePosition,
     SnsRfRpVariant,
@@ -426,32 +425,22 @@ def test_flatness_window_without_welch_bins_exits_2(tmp_path, capsys):
         # it ends at 0.0461725 s, which rounds up to 46173 samples
         dict(fs_hz=1234.5, duration_s=0.046, export_window_s=0.1),
         dict(export_window_s=0.0123456),
+        dict(sample_rate_hz=3e6, export_window_s=0.01),
     ],
 )
-def test_current_and_waveform_share_one_time_column(tmp_path, monkeypatch, settings):
-    written = []
-    write_current = cli_module.write_current_csv
+def test_current_and_waveform_share_one_time_column(tmp_path, settings):
+    cfg = parse_config(write_config(tmp_path / "run.cfg", out_dir=tmp_path / "out", **settings))
+    run_simulate(cfg)
 
-    def check_current(path, trace, time_text):
-        # the shared column, held as bytes, is what the current grid's own
-        # times format to
-        written.append(
-            time_text.dtype.kind == "S"
-            and _cell_text(time_text) == _cell_text(trace.times)
-        )
-        write_current(path, trace, time_text)
+    def time_column(name):
+        rows = (tmp_path / "out" / name).read_bytes().split(b"\n")[2:]
+        return b"\n".join(row.split(b",")[0] for row in rows)
 
-    monkeypatch.setattr(cli_module, "write_current_csv", check_current)
-    cfg_path = write_config(tmp_path / "run.cfg", out_dir=tmp_path / "out", **settings)
-    run_simulate(parse_config(cfg_path))
-    assert written == [True]
-    waveform, current = (
-        (tmp_path / "out" / name).read_text().splitlines()[2:]
-        for name in ("waveform.csv", "current.csv")
-    )
-    assert [row.split(",")[0] for row in waveform] == [
-        row.split(",")[0] for row in current
-    ]
+    waveform, current = time_column("waveform.csv"), time_column("current.csv")
+    assert waveform == current
+    # one row per sample of the window, as the rate's sample grid writes it
+    times = np.arange(waveform.count(b"\n")) / cfg.sample_rate_hz
+    assert waveform == b"".join(f"{t!r}\n".encode() for t in times.tolist())
 
 
 def test_export_window_below_one_sample_writes_header_only(tmp_path):
@@ -561,12 +550,11 @@ def test_write_current_csv_overhead_per_row(tmp_path):
     n = 100_000
     times = np.arange(n) / 1e6
     values = np.cumsum(np.random.default_rng(3).normal(size=n))
-    trace = CurrentTrace(times=times, values=values)
     time_text = cli_module._block_text(times)
     path = tmp_path / "current.csv"
     tracemalloc.start()
     try:
-        cli_module.write_current_csv(path, trace, time_text)
+        cli_module.write_current_csv(path, values, time_text)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -685,6 +673,13 @@ def _sweep_values(category, rng, n):
         quarters = rng.integers(4 * 10**15, 2**53, n // 2).astype(float) / 4.0
         wholes = rng.integers(2**53, 10**17, n // 2).astype(float)
         return np.concatenate([quarters, wholes, [1234567890123456.5]])
+    if category == "whole numbers":
+        # below 1e16, where repr writes every digit and ".0"; 1e16 - 2 is
+        # the double below 1e16
+        x = np.minimum(np.floor(10.0 ** rng.uniform(0.0, 16.0, n)), 1e16 - 2.0)
+        x *= rng.choice([-1.0, 1.0], n)
+        big = _with_neighbours(np.array([2.0**53, -(2.0**53)]))
+        return np.concatenate([[0.0, -0.0], big, x])
     if category == "log-uniform":
         return rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-8.0, 20.0, n)
     if category == "powers":
@@ -714,7 +709,16 @@ def _with_neighbours(x):
 
 @pytest.mark.parametrize(
     "category",
-    ["sample times", "rounded", "decimal ties", "log-uniform", "powers", "special", "bit patterns"],
+    [
+        "sample times",
+        "rounded",
+        "decimal ties",
+        "whole numbers",
+        "log-uniform",
+        "powers",
+        "special",
+        "bit patterns",
+    ],
 )
 def test_float_cells_are_repr_on_a_seeded_sweep(category):
     values = _sweep_values(category, np.random.default_rng(2024), 10**6)
@@ -1015,12 +1019,13 @@ def test_a_long_export_window_peaks_after_the_raster_is_freed(tmp_path):
     raster = 8 * cli_module._most_samples(parse_config(cfg_path))
     imported = _child_peak_rss("-c", "import notchpwm.cli")
     peak = _simulate_child_peak_rss(cfg_path, tmp_path / "out")
-    # 18.6 MB above on x86-64 Linux (glibc, numpy 2.4), after the raster is
+    # 10.6 MB above on x86-64 Linux (glibc, numpy 2.4), after the raster is
     # freed: the window is held as int8 levels and written from lookups, and
-    # rl_current holds only its grid and values.  Float columns made in
-    # write_waveform_csv and rl_current's grid-length temporaries gave 35.3,
-    # and holding four float windows from the run through every writer 82
-    assert peak - imported - raster <= 28e6
+    # rl_current holds only the current's values.  Its grid's times beside
+    # them gave 18.6 (19.8 when remeasured), float columns made in
+    # write_waveform_csv and rl_current's grid-length temporaries 35.3, and
+    # holding four float windows from the run through every writer 82
+    assert peak - imported - raster <= 16e6
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads ru_maxrss in kilobytes")
@@ -1034,11 +1039,11 @@ def test_a_whole_run_export_window_peak_rss(tmp_path):
         **SNS_RP_NOTCH,
     )
     peak = _simulate_child_peak_rss(cfg_path, tmp_path / "out")
-    # 90.5 MiB on x86-64 Linux (glibc, numpy 2.4), in rl_current: the time
-    # column's text, the int8 levels and the current's grid and values.
-    # Float columns in write_waveform_csv and rl_current's grid-length
-    # temporaries peaked at 121.3
-    assert peak <= 95 * 2**20
+    # 75.0 MiB on x86-64 Linux (glibc, numpy 2.4), in rl_current: the time
+    # column's text, the int8 levels and the current's values.  The grid's
+    # times beside them peaked at 90.5, and float columns in
+    # write_waveform_csv and rl_current's grid-length temporaries at 121.3
+    assert peak <= 80 * 2**20
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads ru_maxrss in kilobytes")

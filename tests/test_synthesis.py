@@ -44,7 +44,6 @@ from notchpwm.synthesis import _REL_TOL
 def test_single_cycle_edges():
     train = pulse_train([rec(1, 0.0, 0.004, 0.5, 0.25)], "a")
     assert train.times == pytest.approx([0.001, 0.003], abs=1e-15)
-    assert list(train.levels) == [1.0, 0.0]
     assert train.duration == 0.004
     assert train.max_switching_freq == 250.0
 
@@ -66,7 +65,6 @@ def test_adjacent_full_duty_pulses_merge():
     records = [rec(1, 0.0, 0.004, 1.0, 0.0), rec(2, 0.004, 0.004, 1.0, 0.0)]
     train = pulse_train(records, "a")
     assert train.times == pytest.approx([0.0, 0.008])
-    assert list(train.levels) == [1.0, 0.0]
 
 
 def test_pulse_width_is_duty_times_period():
@@ -124,12 +122,12 @@ def test_malformed_records_name_the_first_bad_cycle():
 
 
 def train_outcome(build, records, phase):
-    """A train's edges, levels, span and top frequency, or its error message."""
+    """A train's edges, span and top frequency, or its error message."""
     try:
         train = build(records, phase)
     except MalformedRecordsError as exc:
         return str(exc)
-    return train.times, train.levels, train.duration, train.max_switching_freq
+    return train.times, train.duration, train.max_switching_freq
 
 
 def assert_same_train(got, want):
@@ -137,10 +135,9 @@ def assert_same_train(got, want):
         assert got == want
         return
     assert not isinstance(got, str), got
-    for g, w in zip(got[:2], want[:2]):
-        assert g.dtype == w.dtype and np.array_equal(g, w)
+    assert got[0].dtype == want[0].dtype and np.array_equal(got[0], want[0])
+    assert (type(got[1]), got[1]) == (type(want[1]), want[1])
     assert (type(got[2]), got[2]) == (type(want[2]), want[2])
-    assert (type(got[3]), got[3]) == (type(want[3]), want[3])
 
 
 TOUCHING = [rec(1, 0.0, 4e-4, 0.25, 0.75), rec(2, 4e-4, 4e-4, 0.5, 0.0)]
@@ -204,11 +201,11 @@ def test_edge_on_sample_instant_switches_at_that_sample():
 
 
 def searchsorted_sample(train, rate):
-    """Oracle: the level of the last edge at or before each grid instant."""
+    """Oracle: on after an odd number of edges at or before each grid instant."""
     n = int(round(train.duration * rate))
     t = np.arange(n) / rate
     idx = np.searchsorted(train.times, t, side="right")
-    return np.concatenate(([0.0], train.levels))[idx]
+    return (idx % 2).astype(float)
 
 
 RATES = (1e6, 999_999.0, 1_234_567.0, 48_000.0)
@@ -239,10 +236,7 @@ def edge_trains(draw):
         elif where == "between":
             t = (k + frac) / rate
         times.add(float(t))
-    times = np.array(sorted(times))
-    level = st.sampled_from((0.0, 1.0, 0.25, -3.5))
-    levels = np.array(draw(st.lists(level, min_size=times.size, max_size=times.size)))
-    return PulseTrain(times, levels, n / rate, 0.0), rate
+    return PulseTrain(np.array(sorted(times)), n / rate, 0.0), rate
 
 
 @settings(max_examples=300, deadline=None)
@@ -279,19 +273,13 @@ def test_sample_matches_searchsorted_on_merged_pulses(rate, per_cycle, cycles):
     assert np.array_equal(sample(train, rate).values, searchsorted_sample(train, rate))
 
 
-# any float64 level, NaN and signed zeros included
-_levels = st.floats(allow_nan=True, allow_infinity=True, width=64)
-
-
 @st.composite
 def free_trains(draw):
     """Strictly increasing edges anywhere around a run, at any rate."""
     rate = draw(st.floats(1.0, 2e6))
     duration = draw(st.floats(0.0, 4000.0 / rate))
     times = draw(st.lists(st.floats(-duration, 2.0 * duration + 1.0), unique=True))
-    levels = draw(st.lists(_levels, min_size=len(times), max_size=len(times)))
-    train = PulseTrain(np.array(sorted(times)), np.array(levels), duration, 0.0)
-    return train, rate
+    return PulseTrain(np.array(sorted(times)), duration, 0.0), rate
 
 
 @settings(max_examples=300, deadline=None)
@@ -344,7 +332,7 @@ def test_sample_rejects_a_bad_out_before_writing(make_out):
 @given(st.lists(st.floats(-1.0, 1.0) | st.just(float("nan")), min_size=2, max_size=8))
 @example([1e-3, 2e-3, 2e-3, 1e-3])
 def test_sample_names_the_first_unordered_edge(times):
-    train = PulseTrain(np.array(times), np.ones(len(times)), 1.0, 0.0)
+    train = PulseTrain(np.array(times), 1.0, 0.0)
     bad = [i for i in range(1, len(times)) if not times[i] > times[i - 1]]
     if not bad:
         assert sample(train, 1e3).values.size == 1000
@@ -370,7 +358,7 @@ def test_sample_names_the_first_unordered_edge(times):
     ],
 )
 def test_sample_names_the_first_nonfinite_edge(times, i):
-    train = PulseTrain(np.array(times), np.ones(len(times)), 1.0, 0.0)
+    train = PulseTrain(np.array(times), 1.0, 0.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError) as err:
@@ -419,6 +407,13 @@ def test_sample_rate_guard():
         sample(train, 0.0)
 
 
+@pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf])
+def test_sample_rejects_a_non_finite_rate(rate):
+    train = pulse_train([rec(1, 0.0, 4e-4, 0.5, 0.25)], "a")
+    with pytest.raises(ValueError, match="^rate must be positive and finite, got"):
+        sample(train, rate)
+
+
 def test_per_cycle_sampled_mean_matches_duty():
     records = chain_rp(50, seed=31)
     train = pulse_train(records, "a")
@@ -462,6 +457,10 @@ def test_line_voltage_values():
     x_a = np.array([1.0, 0.0, 1.0, 0.0])
     x_b = np.array([0.0, 1.0, 1.0, 0.0])
     assert list(line_voltage(x_a, x_b, 24.0)) == [24.0, -24.0, 0.0, 0.0]
+
+
+# any float64 level, NaN and signed zeros included
+_levels = st.floats(allow_nan=True, allow_infinity=True, width=64)
 
 
 @given(
@@ -516,14 +515,13 @@ def shared_edge_trains(draw):
         zero = draw(st.sampled_from(([], [0.0], [-0.0])))
         picked = draw(st.lists(st.sampled_from(pool), unique=True, max_size=len(pool)))
         times = np.array(zero + sorted(picked))
-        levels = np.resize([1.0, 0.0], times.size)
         end = draw(st.sampled_from((duration, times[-1:].sum())))  # the last edge, or 0
-        trains.append(PulseTrain(times, levels, end, 2500.0))
+        trains.append(PulseTrain(times, end, 2500.0))
     return trains
 
 
 @given(shared_edge_trains())
-@example([PulseTrain(np.array([0.0, 0.25]), np.array([1.0, 0.0]), 0.25, 2500.0)] * 3)
+@example([PulseTrain(np.array([0.0, 0.25]), 0.25, 2500.0)] * 3)
 def test_voltage_segments_match_the_unique_oracle(trains):
     breaks, _ = voltage_segments(trains, 24.0)
     assert same_bits(breaks, unique_voltage_breaks(trains))
