@@ -12,6 +12,7 @@ form inside each segment.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -50,9 +51,10 @@ def rl_current(
     times holds the M + 1 finite segment boundaries, voltages the M segment
     values.  With sample_rate None the current is returned at the segment
     boundaries, i(times[j]); otherwise at k / sample_rate for each k whose
-    instant lies in [times[0], times[-1]), evaluated a block of instants at
-    a time into the result, so that besides it (8 B per instant) only
-    per-segment arrays and one block's temporaries are held.
+    instant lies in [times[0], times[-1]), which may be none, evaluated a
+    block of instants at a time into the result, so that besides it (8 B
+    per instant) only per-segment arrays and one block's temporaries are
+    held.
     """
     times = np.asarray(times, dtype=float)
     voltages = np.asarray(voltages, dtype=float)
@@ -84,13 +86,19 @@ def rl_current(
     if sample_rate is None:
         return knots
 
-    t0, t1 = times[0], times[-1]
-    first = int(np.ceil(t0 * sample_rate - 1e-12))
+    t0, t1 = float(times[0]), float(times[-1])
+    # the least k with k / rate >= t0: k / rate is the float the grid
+    # holds, so the product's rounding is corrected against it
+    first = math.ceil(t0 * sample_rate)
+    first -= (first - 1) / sample_rate >= t0
+    first += first / sample_rate < t0
     # k / rate increases with k, and whatever the product's rounding every
-    # k below last - 2 lies before t1, so only the last three k are checked
-    last = int(np.ceil(t1 * sample_rate))
-    tail = np.arange(max(first, last - 2), last + 1)
-    n = int(tail[0]) - first + int(np.count_nonzero(tail / sample_rate < t1))
+    # k below last - 2 lies before t1, so only the last three k are checked;
+    # none is when no instant lies in [t0, t1)
+    last = math.ceil(t1 * sample_rate)
+    start = max(first, last - 2)
+    tail = np.arange(start, last + 1)
+    n = start - first + int(np.count_nonzero(tail / sample_rate < t1))
     offset = knots[:-1] - steady
     values = np.empty(n)
     # steady[seg] + (knots[seg] - steady[seg]) * exp(-(t - times[seg]) / tau),

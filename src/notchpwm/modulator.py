@@ -49,6 +49,9 @@ class DutyTriple(NamedTuple):
     d_c: float
 
 
+_tuple_new = tuple.__new__
+
+
 def sector_of(theta: float) -> int:
     """Sector index in 1..6 for an angle already normalized to [0, 2*pi).
 
@@ -93,8 +96,12 @@ def duty_cycles(
     d_a, d_b, d_c = _sector_duties(cfg.m_index, theta, sector)
     # sector-edge roundoff can leave values like -1e-17; the laws are
     # nonnegative inside their own sector, so snap into [0, 1]
-    return DutyTriple(
-        0.0 if d_a < 0.0 else 1.0 if d_a > 1.0 else d_a,
-        0.0 if d_b < 0.0 else 1.0 if d_b > 1.0 else d_b,
-        0.0 if d_c < 0.0 else 1.0 if d_c > 1.0 else d_c,
+    # (tuple.__new__ skips the NamedTuple's Python-level __new__ frame)
+    return _tuple_new(
+        DutyTriple,
+        (
+            0.0 if d_a < 0.0 else 1.0 if d_a > 1.0 else d_a,
+            0.0 if d_b < 0.0 else 1.0 if d_b > 1.0 else d_b,
+            0.0 if d_c < 0.0 else 1.0 if d_c > 1.0 else d_c,
+        ),
     )

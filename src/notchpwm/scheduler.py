@@ -64,8 +64,9 @@ PHASES = ("a", "b", "c")
 _BOUND_TOL = 1e-9
 
 # most cycles one schedule() call may generate: a cycle's columns hold
-# 99 B (about 0.2 kB at the peak of building them) and take 3 to 10 us,
-# so this bounds a run near 0.1 GB and 10 s
+# 99 B (about 0.2 kB at the peak of building them) and take 1.6 us
+# (csvpwm) to 3.4 us (sns_rf_rp) on a shared 2-vCPU x86-64 host under
+# CPython 3.11, so this bounds a run near 0.1 GB and 4 s
 MAX_CYCLES = 1_000_000
 
 # cycles schedule() keeps in plain lists before moving them into arrays
@@ -108,29 +109,55 @@ class PulsePosition(Enum):
     BACK = "back"
 
 
+# the lock laws run once or twice per cycle; these aliases spare each an
+# enum or `math` attribute lookup
+_FALL = CancelMethod.FALL_AFTER_RISE
+_FRONT = PulsePosition.FRONT
+_CENTER = PulsePosition.CENTER
+_ceil, _floor = math.ceil, math.floor
+
+# a cycle's k and fallback column entries until a lock step marks them
+_NO_LOCK = (-1, -1, -1)
+_NO_FALLBACK = (False, False, False)
+
+
 class SeededRng:
     """Deterministic scalar RNG for schedule generation.
 
-    Thin wrapper over the stdlib Mersenne Twister.  Identical seed and
-    draw order reproduce identical sequences on any platform.  Degenerate
-    intervals return their endpoint without consuming a draw, so two runs
-    that differ only in a collapsed random range stay draw-aligned.
+    Draws exactly what the stdlib Mersenne Twister's `random.Random(seed)`
+    would: `uniform` and `randint` evaluate CPython's own formulas (those of
+    3.10 to 3.13) on its `random` and `getrandbits`, without their call
+    chain.  Identical seed and draw order reproduce identical sequences on
+    any platform.  Degenerate intervals return their endpoint without
+    consuming a draw, so two runs that differ only in a collapsed random
+    range stay draw-aligned.
     """
 
     def __init__(self, seed: int):
         self._rng = random.Random(int(seed))
+        self._random = self._rng.random
+        self._getrandbits = self._rng.getrandbits
 
     def uniform(self, lo: float, hi: float) -> float:
-        """Uniform real on [lo, hi]."""
+        """Uniform real on [lo, hi], as `random.Random.uniform` draws it."""
         if hi <= lo:
             return lo
-        return self._rng.uniform(lo, hi)
+        return lo + (hi - lo) * self._random()
 
     def randint(self, lo: int, hi: int) -> int:
-        """Uniform integer on {lo, ..., hi} (inclusive)."""
+        """Uniform integer on {lo, ..., hi} (inclusive), as `random.Random.randint`.
+
+        `randrange`'s rejection sampling: draw n.bit_length() bits until
+        they fall below the width n.
+        """
         if hi <= lo:
             return lo
-        return self._rng.randint(lo, hi)
+        n = hi - lo + 1
+        k = n.bit_length()
+        r = self._getrandbits(k)
+        while r >= n:
+            r = self._getrandbits(k)
+        return lo + r
 
 
 @dataclass(frozen=True)
@@ -364,14 +391,14 @@ def k_range_sns_rp(
     cycle's duty.
     """
     ratio = fx / fs
-    if variant is CancelMethod.FALL_AFTER_RISE:
-        k_min = math.ceil(ratio * (1.0 - r_prev + d_next))
-        k_max = math.floor(ratio * (2.0 - r_prev))
+    if variant is _FALL:
+        k_min = _ceil(ratio * (1.0 - r_prev + d_next))
+        k_max = _floor(ratio * (2.0 - r_prev))
     else:
         if d_prev is None:
             raise ValueError("RISE_AFTER_FALL pairing needs d_prev")
-        k_min = math.ceil(ratio * (1.0 - r_prev - d_prev))
-        k_max = math.floor(ratio * (2.0 - r_prev - d_prev - d_next))
+        k_min = _ceil(ratio * (1.0 - r_prev - d_prev))
+        k_max = _floor(ratio * (2.0 - r_prev - d_prev - d_next))
     if k_min > k_max:
         return None
     return k_min, k_max
@@ -387,7 +414,7 @@ def sns_rp_position(
     k: int,
 ) -> float:
     """Next pulse position that realizes the lock for a given integer k."""
-    if variant is CancelMethod.FALL_AFTER_RISE:
+    if variant is _FALL:
         return (k / fx) * fs + r_prev - d_next - 1.0
     return (k / fx) * fs + r_prev + d_prev - 1.0
 
@@ -415,7 +442,7 @@ def feasibility_min_fx(
     the k range is empty for every reachable state, above it feasibility
     still depends on the actual positions and duties.
     """
-    if variant is CancelMethod.FALL_AFTER_RISE:
+    if variant is _FALL:
         return fs / (2.0 + d_max)
     return fs / (2.0 - d_min)
 
@@ -434,8 +461,8 @@ def k_range_sns_rf_rp_freq(
     FREQ_FROM_POSITION direction: the next position is already drawn and
     the next switching frequency will be solved from it.
     """
-    k_min = math.ceil(fx * ((r_next + d_next) / fs_max - r_prev / fs_prev + 1.0 / fs_prev))
-    k_max = math.floor(fx * ((r_next + d_next) / fs_min - r_prev / fs_prev + 1.0 / fs_prev))
+    k_min = _ceil(fx * ((r_next + d_next) / fs_max - r_prev / fs_prev + 1.0 / fs_prev))
+    k_max = _floor(fx * ((r_next + d_next) / fs_min - r_prev / fs_prev + 1.0 / fs_prev))
     if k_min > k_max:
         return None
     return k_min, k_max
@@ -469,8 +496,8 @@ def k_range_sns_rf_rp_pos(
     POSITION_FROM_FREQ direction: the next switching frequency is already
     drawn and the next position will be solved from it.
     """
-    k_min = math.ceil(fx * (d_next / fs_next - r_prev / fs_prev + 1.0 / fs_prev))
-    k_max = math.floor(fx * (1.0 / fs_next - r_prev / fs_prev + 1.0 / fs_prev))
+    k_min = _ceil(fx * (d_next / fs_next - r_prev / fs_prev + 1.0 / fs_prev))
+    k_max = _floor(fx * (1.0 / fs_next - r_prev / fs_prev + 1.0 / fs_prev))
     if k_min > k_max:
         return None
     return k_min, k_max
@@ -517,16 +544,16 @@ def _fixed_pos_coeffs(
     d_prev: float,
     d_next: float,
 ) -> tuple[float, float, int]:
-    if method is CancelMethod.FALL_AFTER_RISE:
-        if position is PulsePosition.FRONT:
+    if method is _FALL:
+        if position is _FRONT:
             return fx * d_next, fx / fs_prev, 1
-        if position is PulsePosition.CENTER:
+        if position is _CENTER:
             return fx * (1.0 + d_next), (1.0 + d_prev) * fx / fs_prev, 2
         return fx, d_prev * fx / fs_prev, 1
     # RISE_AFTER_FALL: only the center position couples consecutive cycles;
     # at front and back the locked edge gap spans exactly one cycle, so the
     # law collapses to the per-cycle rule fs = fx * (1 - duty) / k
-    if position is PulsePosition.CENTER:
+    if position is _CENTER:
         return fx * (1.0 - d_next), (1.0 - d_prev) * fx / fs_prev, 2
     return fx * (1.0 - d_next), 0.0, 1
 
@@ -559,8 +586,8 @@ def fixed_position_k_range(
     n, c, a = _fixed_pos_coeffs(position, method, fx, fs_prev, d_prev, d_next)
     if n <= 0.0:
         return None
-    k_min = math.ceil((c + n / fs_max) / a)
-    k_max = math.floor((c + n / fs_min) / a)
+    k_min = _ceil((c + n / fs_max) / a)
+    k_max = _floor((c + n / fs_min) / a)
     if k_min > k_max:
         return None
     return k_min, k_max
@@ -619,7 +646,12 @@ def schedule(
     )
     locked = (0,) if strategy.reference_phase_only else (0, 1, 2)
     solved = range(1 if freq_locked else 0, 3)
+    # the position policy, chosen once per run; the SNS kinds solve their
+    # positions into a fresh list each cycle
     centered = kind is StrategyKind.CSVPWM or kind is StrategyKind.RF
+    rp = kind is StrategyKind.RP
+    fixed = kind is StrategyKind.FIXED_POS
+    sns = kind is StrategyKind.SNS_RP or kind is StrategyKind.SNS_RF_RP
 
     rng = SeededRng(seed)
     uniform, randint = rng.uniform, rng.randint
@@ -628,6 +660,10 @@ def schedule(
     # a Python object per value alive; the arrays are joined at the end
     cols = t_col, ts_col, sector_col, duty_col, pos_col, k_col, fb_col = tuple(
         [] for _ in range(7)
+    )
+    t_add, ts_add, sector_add = t_col.append, ts_col.append, sector_col.append
+    duty_add, pos_add, k_add, fb_add = (
+        duty_col.extend, pos_col.extend, k_col.extend, fb_col.extend
     )
     blocks = []
 
@@ -675,7 +711,7 @@ def schedule(
         def freq_solve(i, d, k):
             return next_freq_sns_rf_rp(fx, fs_prev, r_prev[i], pos[i], d, k)
 
-    elif kind is StrategyKind.FIXED_POS:
+    elif fixed:
         position = strategy.fixed_position
         share = _FIXED_POSITION_SHARE[position]
 
@@ -697,7 +733,8 @@ def schedule(
         The plain draw stands in when the phase has no chain, in the run's
         first cycle or after a zero-duty cycle (the chain restarts here),
         and when the k range is empty (a fallback).  A solved value is
-        checked against [lo, hi].
+        checked against [lo, hi].  The drawn k or the fallback is marked in
+        this cycle's entries of the k and fallback columns, their last three.
         """
         if d_prev[i] <= 0.0:
             if m > 1:
@@ -706,10 +743,11 @@ def schedule(
         kr = k_range(i, d)
         if kr is None:
             stats.fallbacks[i] += 1
-            fb[i] = True
+            fb_col[i - 3] = True
             return uniform(lo, hi)
-        k = kk[i] = randint(*kr)
-        return _checked(solve(i, d, k), lo, hi, context)
+        k = k_col[i - 3] = randint(*kr)
+        value = solve(i, d, k)
+        return value if lo <= value <= hi else _checked(value, lo, hi, context)
 
     t = 0.0
     m = 0
@@ -718,28 +756,29 @@ def schedule(
         theta = angle_at(modcfg, t)
         sec = sector_of(theta)
         duty = duty_cycles(modcfg, theta, sec)
-        pos = [0.5, 0.5, 0.5]  # a zero-duty leg of a solved kind stays here
-        kk = [-1, -1, -1]
-        fb = [False, False, False]
+        d_a, d_b, d_c = duty
+        if sns:
+            pos = [0.5, 0.5, 0.5]  # a zero-duty leg stays here
+        k_add(_NO_LOCK)
+        fb_add(_NO_FALLBACK)
 
         # --- switching frequency of this cycle ---
-        d_a = duty[0]
         if fixed_fs:
             fs_next = fs
         elif freq_locked and d_a > 0.0:
-            if kind is StrategyKind.SNS_RF_RP:
+            if sns:  # FREQ_FROM_POSITION solves fs from a drawn position
                 pos[0] = uniform(0.0, 1.0 - d_a)
             fs_next = lock(0, d_a, fs_min, fs_max, freq_k_range, freq_solve)
         else:
-            fs_next = next_rf(fs_min, fs_max, rng)
+            fs_next = uniform(fs_min, fs_max)  # next_rf's draw
 
         # --- pulse positions of this cycle ---
         if centered:
             pos = next_csvpwm(duty)
-        elif kind is StrategyKind.RP:
+        elif rp:
             pos = next_rp(duty, rng)
-        elif kind is StrategyKind.FIXED_POS:
-            pos = [share * (1.0 - d) for d in duty]
+        elif fixed:
+            pos = (share * (1.0 - d_a), share * (1.0 - d_b), share * (1.0 - d_c))
         else:  # SNS kinds
             for i in solved:
                 d = duty[i]
@@ -751,13 +790,11 @@ def schedule(
                     pos[i] = uniform(0.0, 1.0 - d)
 
         ts = 1.0 / fs_next
-        t_col.append(t)
-        ts_col.append(ts)
-        sector_col.append(sec)
-        duty_col += duty
-        pos_col += pos
-        k_col += kk
-        fb_col += fb
+        t_add(t)
+        ts_add(ts)
+        sector_add(sec)
+        duty_add(duty)
+        pos_add(pos)
         r_prev, d_prev, fs_prev = pos, duty, fs_next
         t = t + ts
         if m % _FLUSH_CYCLES == 0:

@@ -32,6 +32,8 @@ _REL_TOL = 1e-9
 
 _FILL_BLOCK = 1 << 15  # samples that `sample` fills at a time
 
+_MAX_SAMPLES = np.iinfo(np.intp).max  # the longest array numpy can shape
+
 
 class MalformedRecordsError(ValueError):
     """Cycle records are not contiguous or hold out-of-range values."""
@@ -160,7 +162,8 @@ def sample(
     the rate is not positive and finite; else naming the first edge that
     does not follow its predecessor, since the edges must strictly
     increase, or else the first edge that is not finite (a lone NaN edge
-    has no predecessor to fail against).
+    has no predecessor to fail against); else, naming duration and rate,
+    if duration * rate is not a sample count an array can have.
 
     With `out` (1-D C-contiguous float64, n or more long) `values` is out[:n],
     out[n:] is untouched, and the next sample into `out` overwrites `values`.
@@ -184,7 +187,13 @@ def sample(
     if infinite.size:
         i = int(infinite[0])
         raise ValueError(f"edge {i} at {float(times[i])!r} s is not finite")
-    n = int(round(train.duration * rate))
+    samples = train.duration * rate
+    if not 0.0 <= samples <= _MAX_SAMPLES:
+        raise ValueError(
+            f"duration {train.duration:g} s at rate {rate:g} Hz gives {samples:g} "
+            f"samples, not a count from 0 to {_MAX_SAMPLES}"
+        )
+    n = int(round(samples))
     values = np.empty(n) if out is None else out[:n]
     fits = values.shape == (n,) and values.dtype == np.float64
     if not (fits and values.flags.c_contiguous):

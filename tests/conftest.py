@@ -1,16 +1,17 @@
 """Shared builders for the test suite.
 
 Synthetic single-phase schedules exercising the lock recursions outside the
-full scheduler, plus brute-force integer scans used as oracles for the
-closed-form k ranges, record-by-record versions of `edge_times` and
-`pulse_train` used as oracles, earlier whole-array versions of `sample`,
+full scheduler; `SeededRng` delegating to `random.Random`, the oracle of its
+copied draw formulas; brute-force integer scans used as oracles for the
+closed-form k ranges; record-by-record versions of `edge_times` and
+`pulse_train` used as oracles; earlier whole-array versions of `sample`,
 `welch_psd`, the edge-phasor sum and the CSV column writer, the indexed
 knot loop of `rl_current` and its one-expression sampled branch, and
 `voltage_segments`' breaks by its former `np.unique` call, used as exact
-oracles, and Hypothesis
-strategies for well-formed and malformed schedules.
+oracles; and Hypothesis strategies for well-formed and malformed schedules.
 """
 
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -40,6 +41,23 @@ from notchpwm.spectrum import _periodic_window, power_to_db
 from notchpwm.synthesis import _MERGE_TOL, _REL_TOL
 
 K_SCAN = range(-100, 101)
+
+
+class StdlibRng:
+    """Oracle: `SeededRng` delegating each draw to `random.Random` itself."""
+
+    def __init__(self, seed):
+        self._rng = random.Random(int(seed))
+
+    def uniform(self, lo, hi):
+        if hi <= lo:
+            return lo
+        return self._rng.uniform(lo, hi)
+
+    def randint(self, lo, hi):
+        if hi <= lo:
+            return lo
+        return self._rng.randint(lo, hi)
 
 
 def rec(m, t, ts, d, r):
@@ -310,15 +328,15 @@ def indexed_rl_knots(times, voltages, load):
 def expression_rl_current(times, voltages, load, rate):
     """Oracle: `rl_current`'s values on its uniform grid in one expression.
 
-    The knots come from `rl_current` itself; the grid is built whole and
-    each sample is formed by the expression the sampled branch evaluated
-    before it used buffers.
+    The knots come from `rl_current` itself; the grid is built whole,
+    filtered to the instants in [times[0], times[-1]), and each sample is
+    formed by the expression the sampled branch evaluated before it used
+    buffers.
     """
     knots = rl_current(times, voltages, load)
     steady = voltages / load.resistance
-    first = int(np.ceil(times[0] * rate - 1e-12))
-    t = np.arange(first, int(np.ceil(times[-1] * rate)) + 1) / rate
-    t = t[t < times[-1]]
+    t = np.arange(np.floor(times[0] * rate) - 1, np.ceil(times[-1] * rate) + 1) / rate
+    t = t[(times[0] <= t) & (t < times[-1])]
     seg = np.clip(np.searchsorted(times, t, side="right") - 1, 0, voltages.size - 1)
     return steady[seg] + (knots[seg] - steady[seg]) * np.exp(-(t - times[seg]) / load.tau)
 

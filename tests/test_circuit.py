@@ -182,6 +182,42 @@ def test_uniform_grid_keeps_the_last_point_before_the_end(t0, t1, ks):
     assert same_bits(values, 1.0 + (-1.0 - 1.0) * np.exp(-(t - t0) / load.tau))
 
 
+def test_uniform_grid_starts_at_or_after_the_first_boundary():
+    # t0 * rate lies 1e-13 above 1, so the instant 1e-6 lies before t0
+    load = LoadParams(resistance=1.0, inductance=1e-3, initial_current=-1.0)
+    t0 = 1.0000000000001e-6
+    values = rl_current(np.array([t0, 5e-6]), np.array([1.0]), load, sample_rate=1e6)
+    t = np.array([2, 3, 4]) / 1e6
+    assert same_bits(values, 1.0 + (-1.0 - 1.0) * np.exp(-(t - t0) / load.tau))
+
+
+@given(
+    st.integers(0, 10**9),
+    st.integers(-3, 3),
+    st.sampled_from([1e5, 1e6, 1.25e6, 3e6]),
+)
+def test_uniform_grid_first_instant_is_the_least_at_or_after_t0(k, ulps, rate):
+    # t0 within a few ulps of the instant k / rate, on either side
+    t0 = k / rate
+    for _ in range(abs(ulps)):
+        t0 = np.nextafter(t0, math.copysign(math.inf, ulps))
+    load = LoadParams(resistance=1.0, inductance=1e-3, initial_current=-1.0)
+    values = rl_current(np.array([t0, t0 + 4.5 / rate]), np.array([1.0]), load, sample_rate=rate)
+    first = min(j for j in range(k - 2, k + 3) if j / rate >= t0)
+    t = np.arange(first, first + values.size) / rate
+    assert values.size in (4, 5) and t[-1] < t0 + 4.5 / rate
+    assert same_bits(values, 1.0 + (-1.0 - 1.0) * np.exp(-(t - t0) / load.tau))
+
+
+@pytest.mark.parametrize(
+    "times", [[0.0], [1.0000000000001e-6], [1.5e-6, 1.7e-6], [2e-6, 2e-6, 2e-6]]
+)
+def test_uniform_grid_with_no_instant_is_empty(times):
+    voltages = np.ones(len(times) - 1)
+    values = rl_current(np.array(times), voltages, LOAD, sample_rate=1e6)
+    assert isinstance(values, np.ndarray) and values.shape == (0,)
+
+
 @given(
     st.floats(1e-7, 1e-2),
     st.sampled_from([1e5, 1e6, 1.25e6, 3e6]),

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import notchpwm.scheduler as scheduler_module
-from conftest import bookkept_schedules, brute_k_freq, brute_k_pos, brute_k_sns_rp
+from conftest import StdlibRng, bookkept_schedules, brute_k_freq, brute_k_pos, brute_k_sns_rp
 from notchpwm import (
     CancelMethod,
     ConfigError,
@@ -65,6 +65,35 @@ def test_rng_degenerate_interval_consumes_no_draw():
     # a stayed aligned with b despite the two degenerate calls
     assert a.uniform(0.0, 1.0) == b.uniform(0.0, 1.0)
     assert a.randint(0, 100) == b.randint(0, 100)
+
+
+# widths hi - lo: rejection sampling draws n.bit_length() bits for the
+# n = width + 1 values, so widths 2^j - 1 (n a power of two), 2^j and
+# 2^j + 1 sit on either side of a bit count; past 2^32 getrandbits joins
+# several 32-bit outputs; a width of 0 or less draws nothing
+_int_widths = (
+    st.integers(-3, 1)
+    | st.integers(1, 80).flatmap(lambda j: st.sampled_from((2**j - 1, 2**j, 2**j + 1)))
+    | st.integers(2**32, 2**80)
+)
+_int_draws = st.tuples(st.just("randint"), st.integers(-(2**40), 2**40), _int_widths).map(
+    lambda d: (d[0], d[1], d[1] + d[2])
+)
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_float_draws = st.tuples(st.just("uniform"), _finite, _finite) | st.tuples(
+    st.just("uniform"), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**64), st.lists(_int_draws | _float_draws, max_size=30))
+def test_rng_draws_what_the_stdlib_draws(seed, draws):
+    got, want = SeededRng(seed), StdlibRng(seed)
+    for name, lo, hi in draws:
+        a, b = getattr(got, name)(lo, hi), getattr(want, name)(lo, hi)
+        # repr tells int from float, -0.0 from 0.0 and matches NaN
+        assert repr(a) == repr(b), (name, lo, hi)
+    assert got._rng.getstate() == want._rng.getstate()
 
 
 # ---------------------------------------------------------------------------
@@ -881,6 +910,26 @@ def test_scheduled_lock_integers_are_nonnegative(spec, m_index, fx, seed):
     # so -1 can stand for a phase without one
     assert all(d >= 0 for d in draws)
     assert k[k != -1].tolist() == draws
+
+
+# the 13 configurations of the benchmark sweep
+SWEEP_SPECS = ALL_SPECS + [
+    spec_for(StrategyKind.FIXED_POS, fixed_position=position, cancel_method=method)
+    for position in (PulsePosition.FRONT, PulsePosition.BACK)
+    for method in CancelMethod
+]
+
+
+@pytest.mark.parametrize("m_index", (0.3, 0.7, 0.95))
+def test_schedule_with_the_stdlib_rng_is_bit_identical(monkeypatch, m_index):
+    mod = ModulatorConfig(m_index=m_index, f1=50.0, u_dc=24.0)
+    want = [schedule(spec, mod, 0.2, 21) for spec in SWEEP_SPECS]
+    monkeypatch.setattr(scheduler_module, "SeededRng", StdlibRng)
+    for spec, res in zip(SWEEP_SPECS, want):
+        got = schedule(spec, mod, 0.2, 21)
+        assert got.stats == res.stats, spec
+        for col, ref in zip(got.records._arrays(), res.records._arrays()):
+            assert col.dtype == ref.dtype and col.tobytes() == ref.tobytes(), spec
 
 
 @pytest.mark.parametrize("flush_cycles", (1, 2, 7))

@@ -366,6 +366,18 @@ def test_sample_names_the_first_nonfinite_edge(times, i):
     assert f"edge {i} at {times[i]!r} s" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "duration, rate",
+    [(math.inf, 1e3), (math.nan, 1e3), (-1.0, 1e3), (1.0, 1e308), (1e300, 1e300)],
+)
+def test_sample_rejects_a_count_no_array_can_have(duration, rate):
+    train = PulseTrain(np.array([0.25, 0.5]), duration, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^duration .* s at rate .* Hz gives"):
+            sample(train, rate)
+
+
 def test_sample_peak_memory_per_sample():
     mod = ModulatorConfig(m_index=0.7, f1=50.0, u_dc=24.0)
     spec = StrategySpec(kind=StrategyKind.SNS_RP, fs=2500.0, fx=7000.0)
