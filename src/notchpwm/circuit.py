@@ -12,11 +12,12 @@ form inside each segment.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+
+from .synthesis import _grid_ceil
 
 _GRID_BLOCK = 1 << 14  # grid points that a sampled `rl_current` evaluates at a time
 
@@ -86,19 +87,10 @@ def rl_current(
     if sample_rate is None:
         return knots
 
-    t0, t1 = float(times[0]), float(times[-1])
-    # the least k with k / rate >= t0: k / rate is the float the grid
-    # holds, so the product's rounding is corrected against it
-    first = math.ceil(t0 * sample_rate)
-    first -= (first - 1) / sample_rate >= t0
-    first += first / sample_rate < t0
-    # k / rate increases with k, and whatever the product's rounding every
-    # k below last - 2 lies before t1, so only the last three k are checked;
-    # none is when no instant lies in [t0, t1)
-    last = math.ceil(t1 * sample_rate)
-    start = max(first, last - 2)
-    tail = np.arange(start, last + 1)
-    n = start - first + int(np.count_nonzero(tail / sample_rate < t1))
+    # the instants k / rate in [t0, t1): k from the least at or after t0 up
+    # to, not including, the least at or after t1
+    first, stop = map(int, _grid_ceil(times[[0, -1]], sample_rate))
+    n = max(stop - first, 0)
     offset = knots[:-1] - steady
     values = np.empty(n)
     # steady[seg] + (knots[seg] - steady[seg]) * exp(-(t - times[seg]) / tau),

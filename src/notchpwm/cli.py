@@ -194,14 +194,12 @@ def _validate_scenario(cfg: ScenarioConfig) -> None:
     for key, value in vars(cfg).items():
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"{key} must be finite, got {value}")
-    if cfg.duration_s <= 0.0:
-        raise ConfigError(f"duration_s must be positive, got {cfg.duration_s}")
+    for key in ("duration_s", "sample_rate_hz", "half_band_hz", "export_window_s"):
+        value = getattr(cfg, key)
+        if value <= 0.0:
+            raise ConfigError(f"{key} must be positive, got {value}")
     if cfg.seed < 0:
         raise ConfigError(f"seed must be a nonnegative integer, got {cfg.seed}")
-    if cfg.sample_rate_hz <= 0.0:
-        raise ConfigError(f"sample_rate_hz must be positive, got {cfg.sample_rate_hz}")
-    if cfg.half_band_hz <= 0.0:
-        raise ConfigError(f"half_band_hz must be positive, got {cfg.half_band_hz}")
     if not 0.0 <= cfg.psd_overlap < 1.0:
         raise ConfigError(f"psd_overlap must be in [0, 1), got {cfg.psd_overlap}")
     if cfg.psd_segment_len < 2 or cfg.psd_segment_len & (cfg.psd_segment_len - 1):
@@ -213,12 +211,12 @@ def _validate_scenario(cfg: ScenarioConfig) -> None:
             f"psd_window must be one of {', '.join(WELCH_WINDOWS)}, "
             f"got {cfg.psd_window!r}"
         )
-    if cfg.export_window_s <= 0.0:
-        raise ConfigError(
-            f"export_window_s must be positive, got {cfg.export_window_s}"
-        )
     strategy_spec(cfg).validate()
     modulator_config(cfg)
+    try:
+        LoadParams(resistance=cfg.load_r_ohm, inductance=cfg.load_l_h)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     fs_top = max(f for f in (cfg.fs_hz, cfg.fs_max_hz) if f is not None)
     if cfg.sample_rate_hz < MIN_SAMPLES_PER_CYCLE * fs_top:
         raise ConfigError(

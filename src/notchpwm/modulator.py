@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 TWO_PI = 2.0 * math.pi
 SECTOR_SPAN = math.pi / 3.0
@@ -43,15 +42,6 @@ class ModulatorConfig:
             raise ValueError(f"u_dc must be positive and finite, got {self.u_dc}")
 
 
-class DutyTriple(NamedTuple):
-    d_a: float
-    d_b: float
-    d_c: float
-
-
-_tuple_new = tuple.__new__
-
-
 def sector_of(theta: float) -> int:
     """Sector index in 1..6 for an angle already normalized to [0, 2*pi).
 
@@ -69,22 +59,9 @@ def angle_at(cfg: ModulatorConfig, t: float) -> float:
     return math.fmod(TWO_PI * cfg.f1 * t, TWO_PI)
 
 
-def _sector_duties(m: float, theta: float, sector: int) -> tuple[float, float, float]:
-    """Raw (unclamped) duty laws of a given sector evaluated at theta.
-
-    Exposed separately so boundary continuity between adjacent sector laws
-    can be checked directly.
-    """
-    if sector <= 2:
-        return m * math.sin(theta + SECTOR_SPAN), m * math.sin(theta), 0.0
-    if sector <= 4:
-        return 0.0, m * math.sin(theta - SECTOR_SPAN), -m * math.sin(theta + SECTOR_SPAN)
-    return -m * math.sin(theta - SECTOR_SPAN), 0.0, -m * math.sin(theta)
-
-
 def duty_cycles(
     cfg: ModulatorConfig, theta: float, sector: int | None = None
-) -> DutyTriple:
+) -> tuple[float, float, float]:
     """Duty triple (d_a, d_b, d_c) at absolute vector angle theta.
 
     Exactly one component is zero (the clamped leg of the sector) and every
@@ -93,15 +70,17 @@ def duty_cycles(
     """
     if sector is None:
         sector = sector_of(theta)
-    d_a, d_b, d_c = _sector_duties(cfg.m_index, theta, sector)
+    m = cfg.m_index
+    if sector <= 2:
+        d_a, d_b, d_c = m * math.sin(theta + SECTOR_SPAN), m * math.sin(theta), 0.0
+    elif sector <= 4:
+        d_a, d_b, d_c = 0.0, m * math.sin(theta - SECTOR_SPAN), -m * math.sin(theta + SECTOR_SPAN)
+    else:
+        d_a, d_b, d_c = -m * math.sin(theta - SECTOR_SPAN), 0.0, -m * math.sin(theta)
     # sector-edge roundoff can leave values like -1e-17; the laws are
     # nonnegative inside their own sector, so snap into [0, 1]
-    # (tuple.__new__ skips the NamedTuple's Python-level __new__ frame)
-    return _tuple_new(
-        DutyTriple,
-        (
-            0.0 if d_a < 0.0 else 1.0 if d_a > 1.0 else d_a,
-            0.0 if d_b < 0.0 else 1.0 if d_b > 1.0 else d_b,
-            0.0 if d_c < 0.0 else 1.0 if d_c > 1.0 else d_c,
-        ),
+    return (
+        0.0 if d_a < 0.0 else 1.0 if d_a > 1.0 else d_a,
+        0.0 if d_b < 0.0 else 1.0 if d_b > 1.0 else d_b,
+        0.0 if d_c < 0.0 else 1.0 if d_c > 1.0 else d_c,
     )

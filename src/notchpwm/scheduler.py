@@ -64,8 +64,8 @@ PHASES = ("a", "b", "c")
 _BOUND_TOL = 1e-9
 
 # most cycles one schedule() call may generate: a cycle's columns hold
-# 99 B (about 0.2 kB at the peak of building them) and take 1.6 us
-# (csvpwm) to 3.4 us (sns_rf_rp) on a shared 2-vCPU x86-64 host under
+# 99 B (about 0.2 kB at the peak of building them) and take 1.5 us
+# (rf) to 3.4 us (sns_rf_rp) on a shared 2-vCPU x86-64 host under
 # CPython 3.11, so this bounds a run near 0.1 GB and 4 s
 MAX_CYCLES = 1_000_000
 
@@ -368,11 +368,6 @@ def next_rp(duty_next: Sequence[float], rng: SeededRng) -> tuple[float, float, f
         rng.uniform(0.0, 1.0 - d_b),
         rng.uniform(0.0, 1.0 - d_c),
     )
-
-
-def next_rf(fs_min: float, fs_max: float, rng: SeededRng) -> float:
-    """Switching frequency drawn uniformly from [fs_min, fs_max]."""
-    return rng.uniform(fs_min, fs_max)
 
 
 def k_range_sns_rp(
@@ -770,7 +765,7 @@ def schedule(
                 pos[0] = uniform(0.0, 1.0 - d_a)
             fs_next = lock(0, d_a, fs_min, fs_max, freq_k_range, freq_solve)
         else:
-            fs_next = uniform(fs_min, fs_max)  # next_rf's draw
+            fs_next = uniform(fs_min, fs_max)
 
         # --- pulse positions of this cycle ---
         if centered:

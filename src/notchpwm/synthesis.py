@@ -64,10 +64,6 @@ class SampledWaveform:
     values: np.ndarray
     rate: float
 
-    @property
-    def times(self) -> np.ndarray:
-        return np.arange(self.values.size) / self.rate
-
 
 def _phase_index(phase: str) -> int:
     try:
@@ -150,6 +146,22 @@ def pulse_train(records: Sequence[CycleRecord], phase: str) -> PulseTrain:
     )
 
 
+def _grid_ceil(t: np.ndarray, rate: float) -> np.ndarray:
+    """Least k with k / rate >= t, for each finite instant t, as floats.
+
+    k / rate is the float the grid holds, so the rounding of t * rate is
+    corrected against it.  Raises ValueError, naming the instants and the
+    rate, where t * rate overflows.
+    """
+    with np.errstate(over="ignore"):
+        k = np.ceil(t * rate)
+    if np.isinf(k).any():
+        raise ValueError(f"instants {t[np.isinf(k)].tolist()} s at {rate:g} Hz overflow the grid")
+    k -= (k - 1.0) / rate >= t
+    k += k / rate < t
+    return k
+
+
 def sample(
     train: PulseTrain, rate: float, *, out: np.ndarray | None = None
 ) -> SampledWaveform:
@@ -163,7 +175,8 @@ def sample(
     does not follow its predecessor, since the edges must strictly
     increase, or else the first edge that is not finite (a lone NaN edge
     has no predecessor to fail against); else, naming duration and rate,
-    if duration * rate is not a sample count an array can have.
+    if duration * rate is not a sample count an array can have; else if
+    an edge times rate overflows.
 
     With `out` (1-D C-contiguous float64, n or more long) `values` is out[:n],
     out[n:] is untouched, and the next sample into `out` overwrites `values`.
@@ -198,11 +211,7 @@ def sample(
     fits = values.shape == (n,) and values.dtype == np.float64
     if not (fits and values.flags.c_contiguous):
         raise ValueError(f"out must be 1-D C-contiguous float64 of at least {n} values")
-    # first sample at or after each edge; k / rate is the float the sample
-    # grid holds, so the product's rounding is corrected against it
-    first = np.ceil(times * rate)
-    first -= (first - 1.0) / rate >= times
-    first += first / rate < times
+    first = _grid_ceil(times, rate)  # first sample at or after each edge
     # level j holds from sample starts[j] up to the next level's start, or
     # n: from the first sample at or after edge j; ordered edges keep
     # starts nondecreasing

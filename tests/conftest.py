@@ -2,7 +2,8 @@
 
 Synthetic single-phase schedules exercising the lock recursions outside the
 full scheduler; `SeededRng` delegating to `random.Random`, the oracle of its
-copied draw formulas; brute-force integer scans used as oracles for the
+copied draw formulas; the per-sector duty laws and clamp as separate
+steps, the oracle of `duty_cycles`; brute-force integer scans used as oracles for the
 closed-form k ranges; record-by-record versions of `edge_times` and
 `pulse_train` used as oracles; earlier whole-array versions of `sample`,
 `welch_psd`, the edge-phasor sum and the CSV column writer, the indexed
@@ -11,6 +12,7 @@ knot loop of `rl_current` and its one-expression sampled branch, and
 oracles; and Hypothesis strategies for well-formed and malformed schedules.
 """
 
+import math
 import random
 from dataclasses import replace
 
@@ -37,6 +39,7 @@ from notchpwm import (
     sns_rp_position,
     welch_psd,
 )
+from notchpwm.modulator import SECTOR_SPAN
 from notchpwm.spectrum import _periodic_window, power_to_db
 from notchpwm.synthesis import _MERGE_TOL, _REL_TOL
 
@@ -260,6 +263,25 @@ def loop_pulse_train(records, phase):
         times[2 * i] = a
         times[2 * i + 1] = b
     return PulseTrain(times, prev_end, 1.0 / min_ts)
+
+
+# ---------------------------------------------------------------------------
+# duty law oracle
+
+
+def clamped_sector_duties(m, theta, sector):
+    """Oracle: a sector's duty laws at theta, snapped into [0, 1].
+
+    The per-sector laws and the clamp as separate steps, the form
+    `duty_cycles` had before it evaluated them in one frame.
+    """
+    if sector <= 2:
+        raw = m * math.sin(theta + SECTOR_SPAN), m * math.sin(theta), 0.0
+    elif sector <= 4:
+        raw = 0.0, m * math.sin(theta - SECTOR_SPAN), -m * math.sin(theta + SECTOR_SPAN)
+    else:
+        raw = -m * math.sin(theta - SECTOR_SPAN), 0.0, -m * math.sin(theta)
+    return tuple(0.0 if d < 0.0 else 1.0 if d > 1.0 else d for d in raw)
 
 
 # ---------------------------------------------------------------------------

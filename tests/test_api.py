@@ -14,17 +14,20 @@ from notchpwm import (
     Spectrum,
     StrategySpec,
     circuit,
+    modulator,
     scheduler,
     spectrum,
     synthesis,
 )
 from notchpwm.cli import ScenarioConfig
 
-# helpers that only tests called, the error only one of them raised, and
-# a result type whose times column no caller read
+# helpers that only tests called, the error only one of them raised, a
+# result type whose times column no caller read, and a named duty triple
+# whose fields no caller read
 REMOVED = {
     circuit: ("CurrentTrace",),
-    scheduler: ("InfeasibleError", "next_position_sns_rp"),
+    modulator: ("DutyTriple", "_sector_duties"),
+    scheduler: ("InfeasibleError", "next_position_sns_rp", "next_rf"),
     synthesis: ("phase_voltages",),
     spectrum: ("rfft_grid",),
 }
@@ -48,6 +51,7 @@ def test_public_names_resolve_and_removed_names_are_gone():
         "threshold_db",
     ]
     assert [f.name for f in fields(SampledWaveform)] == ["values", "rate"]
+    assert not hasattr(SampledWaveform, "times")  # sample k sits at k / rate
     # state that nothing read
     assert [f.name for f in fields(PulseTrain)] == ["times", "duration", "max_switching_freq"]
     assert not hasattr(RunStats(), "total_fallbacks")

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -230,6 +231,50 @@ def test_uniform_grid_covers_the_interval(t1, rate):
     steady = 24.0 / 1.02
     t = np.arange(n) / rate
     assert same_bits(values, steady + (0.0 - steady) * np.exp(-(t - 0.0) / TAU))
+
+
+@st.composite
+def grid_intervals(draw):
+    """(t0, t1, rate): each end a grid instant nudged by up to two ulps
+    either way, or a free instant, and t1 at most 40 instants past t0."""
+    rate = draw(st.sampled_from([1e5, 1e6, 1.25e6, 3e6, 7e9]))
+
+    def end(k):
+        if draw(st.booleans()):
+            return draw(st.floats(0.0, 1.0)) * 1e3
+        ulps = draw(st.integers(-2, 2))
+        t = k / rate
+        for _ in range(abs(ulps)):
+            t = math.nextafter(t, math.copysign(math.inf, ulps))
+        return max(t, 0.0)
+
+    k0 = draw(st.integers(0, 10**9))
+    t0 = end(k0)
+    t1 = end(k0 + draw(st.integers(0, 40)))
+    t0, t1 = min(t0, t1), max(t0, t1)
+    return t0, min(t1, t0 + 40.0 / rate), rate
+
+
+@given(grid_intervals())
+@settings(max_examples=500)
+def test_uniform_grid_count_matches_a_scan(interval):
+    t0, t1, rate = interval
+    # every k whose instant k / rate lies in [t0, t1), scanned past both ends
+    scan = range(math.floor(t0 * rate) - 3, math.ceil(t1 * rate) + 4)
+    want = [k for k in scan if t0 <= k / rate < t1]
+    load = LoadParams(resistance=1.0, inductance=1e-3, initial_current=-1.0)
+    values = rl_current(np.array([t0, t1]), np.array([1.0]), load, sample_rate=rate)
+    assert values.size == len(want)
+    t = np.array(want, dtype=float) / rate
+    assert same_bits(values, 1.0 + (-1.0 - 1.0) * np.exp(-(t - t0) / load.tau))
+
+
+def test_grid_past_the_float_range_names_the_boundaries_and_rate():
+    times = np.array([1e300, 2e300])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"\[1e\+300, 2e\+300\] s at 1e\+10 Hz"):
+            rl_current(times, np.array([1.0]), LOAD, sample_rate=1e10)
 
 
 def test_input_validation():

@@ -1120,6 +1120,14 @@ def test_main_bad_analysis_settings_exit_2(tmp_path, capsys, mutate):
     assert not (tmp_path / "o").exists()  # rejected before any run
 
 
+@pytest.mark.parametrize("mutate", [dict(load_r_ohm=0.0), dict(load_l_h=-1.0)])
+def test_main_bad_load_exit_2(tmp_path, capsys, mutate):
+    bad = write_config(tmp_path / "bad.cfg", **mutate)
+    assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+    assert "must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()  # rejected before any run
+
+
 def test_rate_too_low_at_run_time_is_a_config_error(tmp_path):
     cfg = parse_config(write_config(tmp_path / "run.cfg", out_dir=tmp_path / "out"))
     cfg.sample_rate_hz = 1e5  # set after validation, as an API caller may

@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from notchpwm import DutyTriple, ModulatorConfig, angle_at, duty_cycles, sector_of
+from conftest import clamped_sector_duties
+from notchpwm import ModulatorConfig, angle_at, duty_cycles, sector_of
 
 TWO_PI = 2.0 * math.pi
 SECTOR = math.pi / 3.0
@@ -23,21 +26,50 @@ def interior_angles(per_sector=50, margin=0.01):
 
 
 def test_worked_examples():
-    d = duty_cycles(CFG, math.pi / 6.0)
-    assert d.d_a == pytest.approx(0.7, abs=1e-12)
-    assert d.d_b == pytest.approx(0.35, abs=1e-12)
-    assert d.d_c == 0.0
+    d_a, d_b, d_c = duty_cycles(CFG, math.pi / 6.0)
+    assert d_a == pytest.approx(0.7, abs=1e-12)
+    assert d_b == pytest.approx(0.35, abs=1e-12)
+    assert d_c == 0.0
 
-    d = duty_cycles(CFG, math.pi / 2.0)
-    assert d.d_a == pytest.approx(0.35, abs=1e-12)
-    assert d.d_b == pytest.approx(0.7, abs=1e-12)
-    assert d.d_c == 0.0
+    d_a, d_b, d_c = duty_cycles(CFG, math.pi / 2.0)
+    assert d_a == pytest.approx(0.35, abs=1e-12)
+    assert d_b == pytest.approx(0.7, abs=1e-12)
+    assert d_c == 0.0
 
 
-def test_returns_named_triple():
+def test_returns_a_plain_tuple():
     d = duty_cycles(CFG, 0.3)
-    assert isinstance(d, DutyTriple)
-    assert d == (d.d_a, d.d_b, d.d_c)
+    assert type(d) is tuple and len(d) == 3
+
+
+def _near_sector_edges():
+    """Angles at, one ulp below and one ulp above each k * pi / 3."""
+    edges = [k * SECTOR for k in range(7)]
+    return [
+        t
+        for e in edges
+        for t in (math.nextafter(e, -math.inf), e, math.nextafter(e, math.inf))
+        if 0.0 <= t < TWO_PI
+    ]
+
+
+@given(
+    st.one_of(
+        st.floats(0.0, TWO_PI, exclude_max=True),
+        st.sampled_from(_near_sector_edges()),
+    ),
+    st.floats(0.0, 1.0, exclude_min=True),
+)
+def test_duty_cycles_match_the_per_sector_laws_bit_for_bit(theta, m):
+    def bits(duties):
+        return [x.hex() for x in duties]
+
+    cfg = ModulatorConfig(m_index=m, f1=50.0, u_dc=24.0)
+    want = clamped_sector_duties(m, theta, sector_of(theta))
+    assert bits(duty_cycles(cfg, theta)) == bits(want)
+    for sector in range(1, 7):  # a passed sector selects its own laws
+        want = clamped_sector_duties(m, theta, sector)
+        assert bits(duty_cycles(cfg, theta, sector)) == bits(want)
 
 
 def test_sector_of():
@@ -96,8 +128,8 @@ def test_duties_bounded_by_m_index():
 def test_full_modulation_reaches_unity_duty():
     cfg = ModulatorConfig(m_index=1.0, f1=50.0, u_dc=24.0)
     # at the middle of sector 1 the a-leg law peaks at sin(pi/2) = 1
-    d = duty_cycles(cfg, SECTOR / 2.0)
-    assert d.d_a == pytest.approx(1.0, abs=1e-12)
+    d_a, _, _ = duty_cycles(cfg, SECTOR / 2.0)
+    assert d_a == pytest.approx(1.0, abs=1e-12)
 
 
 def test_continuity_across_sector_boundaries():
@@ -117,9 +149,7 @@ def test_cyclic_permutation_under_120_degree_shift():
         d0 = duty_cycles(CFG, float(theta))
         d1 = duty_cycles(CFG, math.fmod(float(theta) + shift, TWO_PI))
         # shifting the vector by one third of a turn relabels the legs
-        assert d1.d_a == pytest.approx(d0.d_c, abs=1e-9)
-        assert d1.d_b == pytest.approx(d0.d_a, abs=1e-9)
-        assert d1.d_c == pytest.approx(d0.d_b, abs=1e-9)
+        assert d1 == pytest.approx((d0[2], d0[0], d0[1]), abs=1e-9)
 
 
 def test_small_modulation_scales_linearly():

@@ -34,7 +34,6 @@ from notchpwm import (
     next_csvpwm,
     next_freq_sns_rf_rp,
     next_position_sns_rf_rp,
-    next_rf,
     next_rp,
     schedule,
     sector_of,
@@ -126,14 +125,18 @@ def test_rp_uniform_mean():
 
 
 def test_rf_degenerate_band():
-    assert next_rf(2500.0, 2500.0, SeededRng(0)) == 2500.0
+    spec = StrategySpec(kind=StrategyKind.RF, fs_min=2500.0, fs_max=2500.0)
+    ts = schedule(spec, MOD, 0.02, 0).records.ts
+    assert ts.size == 50 and (ts == 1.0 / 2500.0).all()
 
 
 def test_rf_uniform_mean():
-    rng = SeededRng(13)
-    draws = [next_rf(1500.0, 3500.0, rng) for _ in range(100_000)]
-    assert abs(sum(draws) / len(draws) - 2500.0) < 10.0
-    assert all(1500.0 <= f <= 3500.0 for f in draws)
+    # one band draw per cycle: about 100k cycles over 40 s
+    spec = StrategySpec(kind=StrategyKind.RF, fs_min=1500.0, fs_max=3500.0)
+    ts = schedule(spec, MOD, 40.0, 13).records.ts
+    assert ts.size > 90_000
+    assert abs(np.mean(1.0 / ts) - 2500.0) < 10.0
+    assert ((1.0 / 3500.0 <= ts) & (ts <= 1.0 / 1500.0)).all()
 
 
 # ---------------------------------------------------------------------------
