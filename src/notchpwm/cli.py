@@ -75,7 +75,7 @@ MIN_FUNDAMENTAL_PERIODS = 50.0
 BASELINE_KINDS = ("rp", "csvpwm", "rf")
 
 # most samples per phase a run may raster.  `simulate` peaks near 10 B
-# per sample of a long run, 99 B per cycle of its one schedule alive at a
+# per sample of a long run, 80 B per cycle of its one schedule alive at a
 # time and about 13 B per export row.  At the default 0.1 s export
 # window, peak RSS of 49.9 s runs at 1 MHz (numpy 2.4) was 0.52 GB for
 # sns_rp at 2.5 kHz and 0.62 GB for rp at 10 kHz, so a run stays under 1 GB

@@ -64,7 +64,7 @@ PHASES = ("a", "b", "c")
 _BOUND_TOL = 1e-9
 
 # most cycles one schedule() call may generate: a cycle's columns hold
-# 99 B (about 0.2 kB at the peak of building them) and take 1.5 us
+# 80 B (about 0.12 kB at the peak of building them) and take 1.5 us
 # (rf) to 3.4 us (sns_rf_rp) on a shared 2-vCPU x86-64 host under
 # CPython 3.11, so this bounds a run near 0.1 GB and 4 s
 MAX_CYCLES = 1_000_000
@@ -72,6 +72,16 @@ MAX_CYCLES = 1_000_000
 # cycles schedule() keeps in plain lists before moving them into arrays
 # (about 0.4 MB of Python objects)
 _FLUSH_CYCLES = 1024
+
+# rows a Schedule turns into records at a time when it is iterated,
+# sliced or compared with records (about 0.4 MB of Python objects)
+_RECORD_CHUNK = 1024
+
+# dtypes of the sector and lock-integer columns; every lock law's k is
+# at most 2 fx / fs_low, which StrategySpec.validate keeps within _K_MAX
+_SECTOR_DTYPE = np.int8
+_K_DTYPE = np.int32
+_K_MAX = int(np.iinfo(_K_DTYPE).max)
 
 
 class ConfigError(ValueError):
@@ -170,7 +180,9 @@ class StrategySpec:
     lock (SNS_RF_RP locks FALL_AFTER_RISE only); sns_rp_variant, its former
     name, is an init-only keyword that sets it.  With
     reference_phase_only=True the SNS recursion is applied to phase A
-    only and the other legs fall back to plain random positions.
+    only and the other legs fall back to plain random positions.  validate
+    rejects an fx whose lock integers, at most 2 fx / fs_low with fs_low
+    the fs or fs_min, could overflow the int32 k column.
     """
 
     kind: StrategyKind
@@ -210,6 +222,13 @@ class StrategySpec:
         method = self.cancel_method
         if kind is StrategyKind.SNS_RF_RP and method is not CancelMethod.FALL_AFTER_RISE:
             raise ConfigError(f"sns_rf_rp locks fall_after_rise only, got {method.value}")
+        if kind in (StrategyKind.SNS_RP, StrategyKind.SNS_RF_RP, StrategyKind.FIXED_POS):
+            fs_low = self.fs if kind is StrategyKind.SNS_RP else self.fs_min
+            if 2.0 * self.fx / fs_low + 1.0 > _K_MAX:
+                raise ConfigError(
+                    f"fx={self.fx:g} Hz over fs={fs_low:g} Hz allows lock integers "
+                    f"up to {2.0 * self.fx / fs_low:g}, more than {_K_MAX}"
+                )
 
 
 @dataclass(frozen=True)
@@ -237,11 +256,13 @@ class CycleRecord:
 class Schedule(Sequence[CycleRecord]):
     """A run's switching cycles as read-only columns, one row per cycle.
 
-    Row i is cycle m = i + 1.  t_m, ts and sector have one value per
-    cycle; duty, position, k and fallback have one column per phase
-    (shape (n, 3)).  k holds the lock integer, or -1 where k_used is None.
-    As a Sequence the schedule yields CycleRecords, built on access, and
-    it compares equal to any sequence of equal records.
+    Row i is cycle m = i + 1.  t_m and ts (float64) and sector (int8)
+    have one value per cycle; duty and position (float64), k (int32) and
+    fallback (bool) have one column per phase (shape (n, 3)), 80 B per
+    cycle in all.  k holds the lock integer, or -1 where k_used is None.
+    As a Sequence the schedule yields CycleRecords, built on access a
+    chunk of rows at a time, and it compares equal to any sequence of
+    equal records; two Schedules compare their columns.
     """
 
     t_m: np.ndarray
@@ -268,14 +289,15 @@ class Schedule(Sequence[CycleRecord]):
         """The columns of a record sequence; a Schedule is returned as is.
 
         Each record's m is taken to be its row + 1.  Raises ValueError for a
-        negative lock integer, which the -1 of k could not tell from None.
+        negative lock integer, which the -1 of k could not tell from None,
+        and for one above _K_MAX, which k could not hold.
         """
         if isinstance(records, Schedule):
             return records
         n = len(records)
         k_used = [k for rec in records for k in rec.k_used]
-        if any(k is not None and k < 0 for k in k_used):
-            raise ValueError("lock integers k_used must be nonnegative")
+        if any(k is not None and not 0 <= k <= _K_MAX for k in k_used):
+            raise ValueError(f"lock integers k_used must be nonnegative and at most {_K_MAX}")
 
         def scalars(name, dtype):
             return np.fromiter(map(operator.attrgetter(name), records), dtype=dtype, count=n)
@@ -286,10 +308,10 @@ class Schedule(Sequence[CycleRecord]):
         return cls(
             t_m=scalars("t_m", float),
             ts=scalars("ts", float),
-            sector=scalars("sector", np.int64),
+            sector=scalars("sector", _SECTOR_DTYPE),
             duty=triples((d for rec in records for d in rec.duty), float),
             position=triples((r for rec in records for r in rec.position), float),
-            k=triples((-1 if k is None else k for k in k_used), np.int64),
+            k=triples((-1 if k is None else k for k in k_used), _K_DTYPE),
             fallback=triples((f for rec in records for f in rec.fallback), bool),
         )
 
@@ -297,20 +319,26 @@ class Schedule(Sequence[CycleRecord]):
         return self.t_m.size
 
     def _records(self, rows: slice) -> Iterator[CycleRecord]:
+        """The records of rows, converted _RECORD_CHUNK rows at a time."""
         ms = range(*rows.indices(len(self)))
-        for m, t_m, ts, sector, duty, position, ks, fallback in zip(
-            ms, *(col[rows].tolist() for col in self._arrays())
-        ):
-            yield CycleRecord(
-                m=m + 1,
-                t_m=t_m,
-                ts=ts,
-                sector=sector,
-                duty=tuple(duty),
-                position=tuple(position),
-                k_used=tuple(None if k < 0 else k for k in ks),
-                fallback=tuple(fallback),
-            )
+        for first in range(0, len(ms), _RECORD_CHUNK):
+            part = ms[first : first + _RECORD_CHUNK]
+            # a descending part that ends at row 0 stops at -1, which a
+            # slice would read as the last row
+            chunk = slice(part.start, part.stop if part.stop >= 0 else None, part.step)
+            for m, t_m, ts, sector, duty, position, ks, fallback in zip(
+                part, *(col[chunk].tolist() for col in self._arrays())
+            ):
+                yield CycleRecord(
+                    m=m + 1,
+                    t_m=t_m,
+                    ts=ts,
+                    sector=sector,
+                    duty=tuple(duty),
+                    position=tuple(position),
+                    k_used=tuple(None if k < 0 else k for k in ks),
+                    fallback=tuple(fallback),
+                )
 
     def __getitem__(self, index):
         """The record of one row, or a list of the records of a slice."""
@@ -327,6 +355,9 @@ class Schedule(Sequence[CycleRecord]):
         return self._records(slice(None))
 
     def __eq__(self, other):
+        if isinstance(other, Schedule):
+            # the values records compare: NaN unequal, -0.0 equal to 0.0
+            return all(map(np.array_equal, self._arrays(), other._arrays()))
         if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
             return NotImplemented
         return len(self) == len(other) and all(map(operator.eq, self, other))
@@ -651,8 +682,9 @@ def schedule(
     rng = SeededRng(seed)
     uniform, randint = rng.uniform, rng.randint
     # per-cycle values go to plain lists, the cheapest to append to, and
-    # move into arrays every _FLUSH_CYCLES cycles, so a run does not keep
-    # a Python object per value alive; the arrays are joined at the end
+    # move into per-column array blocks every _FLUSH_CYCLES cycles, so a
+    # run does not keep a Python object per value alive; each column's
+    # blocks are joined, and dropped, at the end
     cols = t_col, ts_col, sector_col, duty_col, pos_col, k_col, fb_col = tuple(
         [] for _ in range(7)
     )
@@ -660,13 +692,18 @@ def schedule(
     duty_add, pos_add, k_add, fb_add = (
         duty_col.extend, pos_col.extend, k_col.extend, fb_col.extend
     )
-    blocks = []
+    dtypes = (float, float, _SECTOR_DTYPE, float, float, _K_DTYPE, bool)
+    blocks = tuple([] for _ in cols)
 
     def flush():
-        dtypes = (float, float, np.int64, float, float, np.int64, bool)
-        blocks.append([np.array(col, dtype) for col, dtype in zip(cols, dtypes)])
-        for col in cols:
+        for col, dtype, parts in zip(cols, dtypes, blocks):
+            parts.append(np.array(col, dtype))
             col.clear()
+
+    def joined(parts):
+        col = np.concatenate(parts)
+        parts.clear()
+        return col
 
     # a phase's lock chain is its previous cycle, alive when that held a pulse
     r_prev: Sequence[float] = (0.0, 0.0, 0.0)
@@ -797,7 +834,7 @@ def schedule(
 
     flush()
     stats.cycles = m
-    t_m, ts_all, sector, *per_phase = map(np.concatenate, zip(*blocks))
+    t_m, ts_all, sector, *per_phase = map(joined, blocks)
     records = Schedule(t_m, ts_all, sector, *(col.reshape(m, 3) for col in per_phase))
     return ScheduleResult(records=records, stats=stats)
 

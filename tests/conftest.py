@@ -3,9 +3,11 @@
 Synthetic single-phase schedules exercising the lock recursions outside the
 full scheduler; `SeededRng` delegating to `random.Random`, the oracle of its
 copied draw formulas; the per-sector duty laws and clamp as separate
-steps, the oracle of `duty_cycles`; brute-force integer scans used as oracles for the
-closed-form k ranges; record-by-record versions of `edge_times` and
-`pulse_train` used as oracles; earlier whole-array versions of `sample`,
+steps, the oracle of `duty_cycles`; brute-force integer scans used as
+oracles for the closed-form k ranges; a Schedule's records built from
+whole-slice column lists, the oracle of its chunked record views;
+record-by-record versions of `edge_times` and `pulse_train` used as
+oracles; earlier whole-array versions of `sample`,
 `welch_psd`, the edge-phasor sum and the CSV column writer, the indexed
 knot loop of `rl_current` and its one-expression sampled branch, and
 `voltage_segments`' breaks by its former `np.unique` call, used as exact
@@ -27,6 +29,7 @@ from notchpwm import (
     SampledWaveform,
     SeededRng,
     SnsRfRpVariant,
+    fixed_position_next_freq,
     k_range_sns_rf_rp_freq,
     k_range_sns_rf_rp_pos,
     k_range_sns_rp,
@@ -40,6 +43,7 @@ from notchpwm import (
     welch_psd,
 )
 from notchpwm.modulator import SECTOR_SPAN
+from notchpwm.scheduler import _BOUND_TOL
 from notchpwm.spectrum import _periodic_window, power_to_db
 from notchpwm.synthesis import _MERGE_TOL, _REL_TOL
 
@@ -152,42 +156,112 @@ def chain_rp(n, seed, ts=4e-4):
     return records
 
 
-def brute_k_sns_rp(fx, fs, r_prev, d_next, variant=CancelMethod.FALL_AFTER_RISE, d_prev=0.0):
-    """Integer scan oracle for the fixed-frequency lock range.
+def _within(value, lo, hi, slack):
+    """lo <= value <= hi with each bound moved out by slack (in, if negative),
+    absolute up to a bound of 1 and relative above it."""
+    return lo - slack * max(1.0, abs(lo)) <= value <= hi + slack * max(1.0, abs(hi))
 
-    The position recursion is linear and increasing in k, so the valid
-    set is contiguous and (min, max) characterizes it.
-    """
-    valid = [
-        k
-        for k in K_SCAN
-        if 0.0 <= sns_rp_position(fx, fs, r_prev, d_prev, d_next, variant, k) <= 1.0 - d_next
-    ]
+
+def _k_span(valid):
     return (valid[0], valid[-1]) if valid else None
 
 
-def brute_k_freq(fx, fs_prev, r_prev, r_next, d_next, fs_min, fs_max):
+def brute_k_sns_rp(
+    fx, fs, r_prev, d_next, variant=CancelMethod.FALL_AFTER_RISE, d_prev=0.0, slack=0.0
+):
+    """Integer scan oracle for the fixed-frequency lock range.
+
+    The position recursion is linear and increasing in k, so the valid
+    set is contiguous and (min, max) characterizes it.  Like every scan
+    below, a nonzero slack widens (or, negative, narrows) the admissible
+    range as `_within` does.
+    """
+    return _k_span(
+        [
+            k
+            for k in K_SCAN
+            if _within(
+                sns_rp_position(fx, fs, r_prev, d_prev, d_next, variant, k),
+                0.0,
+                1.0 - d_next,
+                slack,
+            )
+        ]
+    )
+
+
+def brute_k_freq(fx, fs_prev, r_prev, r_next, d_next, fs_min, fs_max, slack=0.0):
     """Integer scan oracle for the frequency-direction lock range."""
     valid = []
     for k in K_SCAN:
         den = k / fx + r_prev / fs_prev - 1.0 / fs_prev
         if den == 0.0:
             continue
-        fs_next = (r_next + d_next) / den
-        if fs_min <= fs_next <= fs_max:
+        if _within((r_next + d_next) / den, fs_min, fs_max, slack):
             valid.append(k)
-    return (valid[0], valid[-1]) if valid else None
+    return _k_span(valid)
 
 
-def brute_k_pos(fx, fs_prev, fs_next, r_prev, d_next):
+def brute_k_pos(fx, fs_prev, fs_next, r_prev, d_next, slack=0.0):
     """Integer scan oracle for the position-direction lock range."""
     ratio = fs_next / fs_prev
-    valid = [
-        k
-        for k in K_SCAN
-        if 0.0 <= (k / fx) * fs_next + ratio * r_prev - d_next - ratio <= 1.0 - d_next
+    return _k_span(
+        [
+            k
+            for k in K_SCAN
+            if _within(
+                (k / fx) * fs_next + ratio * r_prev - d_next - ratio, 0.0, 1.0 - d_next, slack
+            )
+        ]
+    )
+
+
+def brute_k_fixed(position, method, fx, fs_prev, d_prev, d_next, fs_min, fs_max, slack=0.0):
+    """Integer scan oracle for the fixed-position frequency lock range."""
+    valid = []
+    for k in K_SCAN:
+        try:
+            fs_next = fixed_position_next_freq(position, method, fx, fs_prev, d_prev, d_next, k)
+        except ZeroDivisionError:
+            continue
+        if _within(fs_next, fs_min, fs_max, slack):
+            valid.append(k)
+    return _k_span(valid)
+
+
+def assert_k_range_matches_scan(got, scan, roundoff=_BOUND_TOL):
+    """A closed-form k range holds every k the scan finds inside its bounds
+    by more than roundoff and none it finds outside them by more.
+
+    scan(slack) is a brute-force scan of the same law with that slack; the
+    default roundoff is the lock step's, which snaps a solved value that
+    far out of its range back onto it.
+    """
+    inner, outer = scan(-roundoff), scan(roundoff)
+    if inner is not None:
+        assert got is not None and got[0] <= inner[0] and inner[1] <= got[1], (got, inner)
+    if got is not None:
+        assert outer is not None and outer[0] <= got[0] and got[1] <= outer[1], (got, outer)
+
+
+def whole_slice_records(cycles, rows):
+    """Oracle: the records of a Schedule's rows, every column listed at once."""
+    ms = range(*rows.indices(len(cycles)))
+    return [
+        CycleRecord(
+            m=m + 1,
+            t_m=t_m,
+            ts=ts,
+            sector=sector,
+            duty=tuple(duty),
+            position=tuple(position),
+            k_used=tuple(None if k < 0 else k for k in ks),
+            fallback=tuple(fallback),
+        )
+        for m, t_m, ts, sector, duty, position, ks, fallback in zip(
+            ms, *(col[rows].tolist() for col in cycles._arrays())
+        )
     ]
-    return (valid[0], valid[-1]) if valid else None
 
 
 def line_psd(records, u_dc, rate=1e6, segment_len=65536):
@@ -442,7 +516,7 @@ def bookkept_schedules(draw):
         replace(
             rec,
             sector=draw(st.integers(1, 6)),
-            k_used=draw(st.tuples(*3 * [st.none() | st.integers(0, 2**40)])),
+            k_used=draw(st.tuples(*3 * [st.none() | st.integers(0, 2**31 - 1)])),
             fallback=draw(st.tuples(*3 * [st.booleans()])),
         )
         for rec in draw(schedules())

@@ -1,6 +1,7 @@
 """Tests for strategy scheduling: step operations, lock ranges, full runs."""
 
 import math
+import time
 import tracemalloc
 from dataclasses import replace
 from unittest import mock
@@ -11,7 +12,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import notchpwm.scheduler as scheduler_module
-from conftest import StdlibRng, bookkept_schedules, brute_k_freq, brute_k_pos, brute_k_sns_rp
+from conftest import (
+    StdlibRng,
+    assert_k_range_matches_scan,
+    bookkept_schedules,
+    brute_k_fixed,
+    brute_k_freq,
+    brute_k_pos,
+    brute_k_sns_rp,
+    whole_slice_records,
+)
 from notchpwm import (
     CancelMethod,
     ConfigError,
@@ -386,6 +396,55 @@ def test_banded_k_ranges_match_brute_force_scan():
         ) == brute_k_pos(fx, fs_prev, fs_next, r_prev, d2)
 
 
+# drawn lock states: notch and switching frequencies keep every k of the
+# closed forms inside the oracles' K_SCAN, and shares lie in [0, 1].  A
+# k at either end of a range may solve to its bound only to within
+# roundoff, which the lock step snaps up to _BOUND_TOL, so the ends are
+# compared up to that.  The laws that solve a frequency divide a duty
+# share by the distance of a*k from c; for a share near 0 both are near
+# 0 and the solved frequency has no correct digit, so those draw shares
+# (and their complements) of at least _FREQ_SHARE_MIN
+_fx = st.floats(3000.0, 20000.0)
+_fs = st.floats(1000.0, 5000.0)
+_share = st.floats(0.0, 1.0)
+_FREQ_SHARE_MIN = 1e-6
+_freq_share = st.floats(_FREQ_SHARE_MIN, 1.0 - _FREQ_SHARE_MIN)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fx, _fs, _share, _share, _share, st.sampled_from(CancelMethod))
+def test_k_range_sns_rp_matches_brute_force_on_drawn_states(fx, fs, r_prev, d_prev, d_next, method):
+    assert_k_range_matches_scan(
+        k_range_sns_rp(fx, fs, r_prev, d_next, method, d_prev),
+        lambda slack: brute_k_sns_rp(fx, fs, r_prev, d_next, method, d_prev, slack),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fx, _fs, _share, _share, _freq_share, _fs, _fs)
+def test_k_range_sns_rf_rp_freq_matches_brute_force_on_drawn_states(
+    fx, fs_prev, r_prev, r_next, d_next, fs_a, fs_b
+):
+    fs_min, fs_max = min(fs_a, fs_b), max(fs_a, fs_b)
+    # the pulse ends inside its cycle, r_next + d_next <= 1
+    r_next *= 1.0 - d_next
+    assert_k_range_matches_scan(
+        k_range_sns_rf_rp_freq(fx, fs_prev, r_prev, r_next, d_next, fs_min, fs_max),
+        lambda slack: brute_k_freq(fx, fs_prev, r_prev, r_next, d_next, fs_min, fs_max, slack),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fx, _fs, _fs, _share, _share)
+def test_k_range_sns_rf_rp_pos_matches_brute_force_on_drawn_states(
+    fx, fs_prev, fs_next, r_prev, d_next
+):
+    assert_k_range_matches_scan(
+        k_range_sns_rf_rp_pos(fx, fs_prev, fs_next, r_prev, d_next),
+        lambda slack: brute_k_pos(fx, fs_prev, fs_next, r_prev, d_next, slack),
+    )
+
+
 # ---------------------------------------------------------------------------
 # fixed-position frequency laws
 
@@ -446,18 +505,31 @@ def test_fixed_k_range_matches_law_scan():
             got = fixed_position_k_range(
                 pos_flavor, method, fx, fs_prev, d_prev, d_next, lo, hi
             )
-            valid = []
-            for k in range(-100, 101):
-                try:
-                    fs = fixed_position_next_freq(
-                        pos_flavor, method, fx, fs_prev, d_prev, d_next, k
-                    )
-                except ZeroDivisionError:
-                    continue
-                if lo <= fs <= hi:
-                    valid.append(k)
-            want = (valid[0], valid[-1]) if valid else None
+            want = brute_k_fixed(pos_flavor, method, fx, fs_prev, d_prev, d_next, lo, hi)
             assert got == want, (pos_flavor, method, fx, fs_prev, d_prev, d_next, lo, hi)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(PulsePosition),
+    st.sampled_from(CancelMethod),
+    _fx,
+    _fs,
+    _share,
+    _freq_share,
+    _fs,
+    _fs,
+)
+def test_fixed_k_range_matches_brute_force_on_drawn_states(
+    position, method, fx, fs_prev, d_prev, d_next, fs_a, fs_b
+):
+    fs_min, fs_max = min(fs_a, fs_b), max(fs_a, fs_b)
+    assert_k_range_matches_scan(
+        fixed_position_k_range(position, method, fx, fs_prev, d_prev, d_next, fs_min, fs_max),
+        lambda slack: brute_k_fixed(
+            position, method, fx, fs_prev, d_prev, d_next, fs_min, fs_max, slack
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -877,6 +949,72 @@ def test_schedule_equality_agrees_with_record_lists(records, data):
         assert (cycles == Schedule.from_records(other)) is want
 
 
+def _drawn_slice(data, n):
+    bound = st.none() | st.integers(-n - 2, n + 2)
+    step = st.none() | st.integers(-n - 1, n + 1).filter(bool)
+    return slice(data.draw(bound), data.draw(bound), data.draw(step))
+
+
+@settings(max_examples=200, deadline=None)
+@given(bookkept_schedules(), st.integers(1, 5), st.data())
+def test_chunked_records_match_a_whole_slice_build(records, chunk, data):
+    cycles = Schedule.from_records(records)
+    rows = _drawn_slice(data, len(cycles))
+    with mock.patch.object(scheduler_module, "_RECORD_CHUNK", chunk):
+        got = cycles[rows]
+        assert repr(list(cycles)) == repr(whole_slice_records(cycles, slice(None)))
+    assert repr(got) == repr(whole_slice_records(cycles, rows))
+    assert repr(got) == repr(records[rows])
+
+
+@pytest.mark.parametrize("n", (1023, 1024, 1025, 2048, 2049))
+def test_chunked_records_at_the_chunk_boundaries(n):
+    chunk = scheduler_module._RECORD_CHUNK
+    assert chunk == 1024
+    whole = schedule(spec_for(StrategyKind.SNS_RP), MOD, 0.83, 2).records
+    cycles = Schedule(*(col[:n] for col in whole._arrays()))
+    for rows in (
+        slice(None),
+        slice(None, None, -1),
+        slice(1, None),
+        slice(None, -1),
+        slice(None, None, 2),
+        slice(-2, None, -3),
+        slice(n - 1, None, -chunk),
+        slice(chunk - 1, chunk + 1),
+        slice(chunk, chunk),
+        slice(n, 0),
+    ):
+        assert repr(cycles[rows]) == repr(whole_slice_records(cycles, rows)), rows
+    assert repr(list(cycles)) == repr(whole_slice_records(cycles, slice(None)))
+    assert repr(cycles[-1]) == repr(whole_slice_records(cycles, slice(n - 1, n))[0])
+
+
+def test_long_schedule_iterates_and_compares_without_a_whole_copy():
+    records = schedule(spec_for(StrategyKind.SNS_RP), MOD, 40.0, 0).records
+    assert len(records) >= 100_000
+    same = Schedule(*(col.copy() for col in records._arrays()))
+    tracemalloc.start()
+    try:
+        first = next(iter(records))
+        _, iter_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        equal = records == same
+        _, eq_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert first.m == 1 and equal
+    # one chunk of records, and one column comparison, at a time
+    assert iter_peak < 2 * 2**20
+    assert eq_peak < 2 * 2**20
+    seconds = []
+    for _ in range(3):
+        start = time.perf_counter()
+        assert records == same
+        seconds.append(time.perf_counter() - start)
+    assert min(seconds) < 0.05
+
+
 def test_empty_schedule_equality():
     empty = Schedule.from_records([])
     assert empty == [] and [] == empty and empty == ()
@@ -889,6 +1027,34 @@ def test_from_records_rejects_negative_lock_integers():
     rec = schedule(spec_for(StrategyKind.SNS_RP), MOD, 4e-4, 0).records[0]
     with pytest.raises(ValueError, match="nonnegative"):
         Schedule.from_records([replace(rec, k_used=(None, -1, None))])
+
+
+def test_from_records_rejects_lock_integers_the_k_column_cannot_hold():
+    rec = schedule(spec_for(StrategyKind.SNS_RP), MOD, 4e-4, 0).records[0]
+    top = np.iinfo(np.int32).max
+    assert Schedule.from_records([replace(rec, k_used=(top, None, 0))]).k.tolist() == [[top, -1, 0]]
+    with pytest.raises(ValueError, match=str(top)):
+        Schedule.from_records([replace(rec, k_used=(None, top + 1, None))])
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        StrategySpec(kind=StrategyKind.SNS_RP, fs=1e-9, fx=1e11),
+        StrategySpec(kind=StrategyKind.SNS_RF_RP, fs_min=1e-9, fs_max=2e-9, fx=1e11),
+        StrategySpec(kind=StrategyKind.FIXED_POS, fs_min=1e-9, fs_max=2e-9, fx=1e11),
+    ],
+    ids=lambda spec: spec.kind.value,
+)
+def test_lock_integers_too_large_for_the_k_column_are_a_config_error(spec):
+    # a 10 s run of 10 to 20 cycles whose lock laws allow k up to 2e20
+    with pytest.raises(ConfigError, match="lock integers"):
+        schedule(spec, ModulatorConfig(0.7, 1e-9, 24.0), 1e10, 1)
+    # just inside: 2 fx / fs_low + 1 equal to the int32 maximum
+    fx = (np.iinfo(np.int32).max - 1) / 2.0 * 1e-9
+    replace(spec, fx=fx).validate()
+    with pytest.raises(ConfigError, match="lock integers"):
+        replace(spec, fx=np.nextafter(fx, np.inf)).validate()
 
 
 @settings(max_examples=40, deadline=None)
@@ -913,6 +1079,36 @@ def test_scheduled_lock_integers_are_nonnegative(spec, m_index, fx, seed):
     # so -1 can stand for a phase without one
     assert all(d >= 0 for d in draws)
     assert k[k != -1].tolist() == draws
+
+
+LOCKING_KINDS = (StrategyKind.SNS_RP, StrategyKind.SNS_RF_RP, StrategyKind.FIXED_POS)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([spec for spec in ALL_SPECS if spec.kind in LOCKING_KINDS]),
+    st.sampled_from((0.3, 0.7, 0.95, 1.0)),
+    st.floats(900.0, 30000.0),
+    st.floats(0.2, 2.0),
+    st.integers(0, 2**32),
+)
+def test_scheduled_lock_integers_stay_under_the_validated_bound(spec, m_index, fx, scale, seed):
+    # every lock law's k is at most 2 fx / fs_low: the bound that
+    # StrategySpec.validate keeps inside the int32 k column
+    spec = replace(
+        spec,
+        fx=fx,
+        **{
+            name: getattr(spec, name) * scale
+            for name in ("fs", "fs_min", "fs_max")
+            if getattr(spec, name) is not None
+        },
+    )
+    fs_low = spec.fs if spec.kind is StrategyKind.SNS_RP else spec.fs_min
+    mod = ModulatorConfig(m_index=m_index, f1=50.0, u_dc=24.0)
+    k = schedule(spec, mod, 0.02, seed).records.k
+    assert k.dtype == np.int32
+    assert k.max(initial=-1) <= 2.0 * fx / fs_low + 1.0
 
 
 # the 13 configurations of the benchmark sweep
@@ -966,10 +1162,14 @@ def test_schedule_result_bytes_per_cycle():
     finally:
         tracemalloc.stop()
     assert len(result.records) == 5001
-    # the columns take 99 B per cycle (13 eight-byte values, 3 flags)
-    assert held / len(result.records) <= 150.0
-    # building peaks at about 201 B per cycle, the arrays of every list
-    # block plus their concatenation; lists kept for the whole run of
-    # Python scalars peaked at about 370 B
-    assert peak / len(result.records) <= 250.0
+    # the columns take 80 B per cycle (10 eight-byte values, 3 four-byte
+    # lock integers, a one-byte sector and 3 flags); held 81.1 B measured
+    assert sum(col.nbytes for col in result.records._arrays()) == 80 * len(result.records)
+    assert held / len(result.records) <= 82.0
+    # building peaks at 118.5 B per cycle (CPython 3.11), in the loop: the
+    # array blocks and the Python lists of the last, partial block.  The
+    # join, one column at a time, peaks lower, at the blocks and one 24 B
+    # column; joining every column at once beside all the blocks peaked
+    # at about 201 B, and lists kept for the whole run at about 370 B
+    assert peak / len(result.records) <= 125.0
     assert isinstance(result.records.k, np.ndarray)
