@@ -20,6 +20,7 @@ import numpy as np
 from .synthesis import _grid_ceil
 
 _GRID_BLOCK = 1 << 14  # grid points that a sampled `rl_current` evaluates at a time
+_SEGMENT_BLOCK = 1 << 10  # segments whose boundary currents are recurred at a time
 
 
 @dataclass(frozen=True)
@@ -55,7 +56,9 @@ def rl_current(
     instant lies in [times[0], times[-1]), which may be none, evaluated a
     block of instants at a time into the result, so that besides it (8 B
     per instant) only per-segment arrays and one block's temporaries are
-    held.
+    held.  The boundary currents are recurred a slice of segments at a
+    time into their array, so they hold about 24 B per segment at peak:
+    the steady-state and decay arrays and the currents themselves.
     """
     times = np.asarray(times, dtype=float)
     voltages = np.asarray(voltages, dtype=float)
@@ -65,24 +68,32 @@ def rl_current(
         )
     if not np.isfinite(times).all():
         raise ValueError("times (the segment boundaries) must be finite")
-    if np.any(np.diff(times) < 0.0):
+    # exp(-span / tau) of each segment, formed in the spans' own array
+    decay = np.diff(times)
+    if np.any(decay < 0.0):
         raise ValueError("segment boundaries must be nondecreasing")
     if sample_rate is not None and not 0.0 < sample_rate < np.inf:
         raise ValueError(f"sample_rate must be positive and finite, got {sample_rate}")
 
     tau = load.tau
     steady = voltages / load.resistance
-    spans = np.diff(times)
-    decay = np.exp(-spans / tau)
+    np.negative(decay, out=decay)
+    np.divide(decay, tau, out=decay)
+    np.exp(decay, out=decay)
 
     # current at every segment boundary, recurred over Python floats, which
-    # round as numpy's float64 scalars do but index far faster
+    # round as numpy's float64 scalars do but index far faster, a slice of
+    # segments at a time into the result
     i = load.initial_current
-    knots = [i]
-    for u, g in zip(steady.tolist(), decay.tolist()):
-        i = u + (i - u) * g
-        knots.append(i)
-    knots = np.array(knots, dtype=float)
+    knots = np.empty(times.size)
+    knots[0] = i
+    for lo in range(0, voltages.size, _SEGMENT_BLOCK):
+        hi = lo + _SEGMENT_BLOCK
+        part = []
+        for u, g in zip(steady[lo:hi].tolist(), decay[lo:hi].tolist()):
+            i = u + (i - u) * g
+            part.append(i)
+        knots[lo + 1 : lo + 1 + len(part)] = part
 
     if sample_rate is None:
         return knots

@@ -43,7 +43,7 @@ from __future__ import annotations
 import math
 import operator
 import random
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import InitVar, dataclass, field
 from enum import Enum
 from typing import Optional
@@ -74,14 +74,19 @@ MAX_CYCLES = 1_000_000
 _FLUSH_CYCLES = 1024
 
 # rows a Schedule turns into records at a time when it is iterated,
-# sliced or compared with records (about 0.4 MB of Python objects)
-_RECORD_CHUNK = 1024
+# sliced or compared with records (about 0.1 MB of Python objects)
+_RECORD_CHUNK = 256
 
 # dtypes of the sector and lock-integer columns; every lock law's k is
 # at most 2 fx / fs_low, which StrategySpec.validate keeps within _K_MAX
 _SECTOR_DTYPE = np.int8
 _K_DTYPE = np.int32
 _K_MAX = int(np.iinfo(_K_DTYPE).max)
+
+# a frequency law's share term below this fraction of its constant term
+# may round its closed-form k bounds one off (above it, the bounds err by
+# at most about 2e-10 of the share term), so the ends are checked by solving
+_NEAR_ROUNDOFF = 1e-5
 
 
 class ConfigError(ValueError):
@@ -453,10 +458,50 @@ def _checked(value: float, lo: float, hi: float, context: str) -> float:
     """
     if lo <= value <= hi:
         return value
-    bound = min(max(value, lo), hi)
-    if not abs(value - bound) <= _BOUND_TOL * max(1.0, abs(bound)):
+    if not _snaps(value, lo, hi):
         raise OutOfBandError(f"{context}: solved value {value} outside [{lo}, {hi}]")
-    return bound
+    return min(max(value, lo), hi)
+
+
+def _snaps(value: float, lo: float, hi: float) -> bool:
+    """Whether value lies in [lo, hi] or outside by roundoff only, at most
+    _BOUND_TOL relative to a bound above 1 in magnitude; never for NaN."""
+    bound = min(max(value, lo), hi)
+    return abs(value - bound) <= _BOUND_TOL * max(1.0, abs(bound))
+
+
+def _solved_k_range(
+    k_min: int,
+    k_max: int,
+    solve: Callable[[int], float],
+    fs_min: float,
+    fs_max: float,
+) -> Optional[tuple[int, int]]:
+    """The lock integers whose solved frequency the lock step accepts.
+
+    [k_min, k_max] is a frequency law's closed-form range where its share
+    term is near the roundoff of its constant term, so either end may be
+    one off.  solve(k) is the law's frequency, decreasing in k where the
+    distance it divides by is positive.  A neighbour whose solve lies in
+    the band joins the range; then each end whose solve `_checked` would
+    reject, or which divides by zero, leaves it.
+    """
+
+    def solved(k):
+        try:
+            return solve(k)
+        except ZeroDivisionError:
+            return math.nan
+
+    k_min -= fs_min <= solved(k_min - 1) <= fs_max
+    k_max += fs_min <= solved(k_max + 1) <= fs_max
+    while k_min <= k_max and not _snaps(solved(k_min), fs_min, fs_max):
+        k_min += 1
+    while k_min <= k_max and not _snaps(solved(k_max), fs_min, fs_max):
+        k_max -= 1
+    if k_min > k_max:
+        return None
+    return k_min, k_max
 
 
 def feasibility_min_fx(
@@ -487,8 +532,18 @@ def k_range_sns_rf_rp_freq(
     FREQ_FROM_POSITION direction: the next position is already drawn and
     the next switching frequency will be solved from it.
     """
-    k_min = _ceil(fx * ((r_next + d_next) / fs_max - r_prev / fs_prev + 1.0 / fs_prev))
-    k_max = _floor(fx * ((r_next + d_next) / fs_min - r_prev / fs_prev + 1.0 / fs_prev))
+    share = r_next + d_next
+    low = share / fs_max
+    k_min = _ceil(fx * (low - r_prev / fs_prev + 1.0 / fs_prev))
+    k_max = _floor(fx * (share / fs_min - r_prev / fs_prev + 1.0 / fs_prev))
+    if low * fs_prev < _NEAR_ROUNDOFF:
+        return _solved_k_range(
+            k_min,
+            k_max,
+            lambda k: next_freq_sns_rf_rp(fx, fs_prev, r_prev, r_next, d_next, k),
+            fs_min,
+            fs_max,
+        )
     if k_min > k_max:
         return None
     return k_min, k_max
@@ -612,8 +667,17 @@ def fixed_position_k_range(
     n, c, a = _fixed_pos_coeffs(position, method, fx, fs_prev, d_prev, d_next)
     if n <= 0.0:
         return None
-    k_min = _ceil((c + n / fs_max) / a)
+    low = n / fs_max
+    k_min = _ceil((c + low) / a)
     k_max = _floor((c + n / fs_min) / a)
+    if low < _NEAR_ROUNDOFF * c:
+        return _solved_k_range(
+            k_min,
+            k_max,
+            lambda k: fixed_position_next_freq(position, method, fx, fs_prev, d_prev, d_next, k),
+            fs_min,
+            fs_max,
+        )
     if k_min > k_max:
         return None
     return k_min, k_max

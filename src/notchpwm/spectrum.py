@@ -13,7 +13,7 @@ unbroken locked chain regardless of its length.
 
 The edge sums are evaluated directly, one complex exponential per edge
 and bin.  Bins are taken a block at a time into one reused buffer of
-about 0.5 MB, so working memory does not grow with the grid.  The blocks
+about 0.25 MB, so working memory does not grow with the grid.  The blocks
 are shared out to the calling thread and one helper thread per further
 CPU the process may run on (its affinity mask), each computing in its own
 slice of that one buffer; numpy releases the GIL in the complex `exp`
@@ -55,9 +55,9 @@ _POWER_FLOOR = 1e-20
 NOTCH_THRESHOLD_DB = 6.0
 
 # complex values in the phasor buffer `_edge_sum` allocates and its
-# workers split (0.5 MB, so each worker's slice stays in its core's L2
-# cache; the sweep runs no slower than with 1 MB and peaks 0.5 MB lower)
-_EDGE_BLOCK_BUDGET = 1 << 15
+# workers split (0.25 MB, so each worker's slice stays in its core's L2
+# cache; the sweep runs no slower than with 0.5 or 1 MB and peaks lower)
+_EDGE_BLOCK_BUDGET = 1 << 14
 
 # cosine-sum coefficients of the Welch windows: w = sum_k a_k cos(k x)
 _COSINE_WINDOWS = {"hann": (0.5, 0.5), "hamming": (0.54, 1.0 - 0.54), "boxcar": (1.0,)}
@@ -343,7 +343,8 @@ def welch_psd(
 
     windowed = np.empty(segment_len)
     spec = np.empty(segment_len // 2 + 1, dtype=complex)
-    power, imag = spec.real, spec.imag  # views of the FFT's output
+    parts = spec.view(float)  # the FFT output's real and imaginary parts
+    power = parts[::2]  # the real parts
 
     def segment_power(i):
         # one set of buffers refilled for every segment, the power in the
@@ -354,13 +355,15 @@ def welch_psd(
             seg = windowed
         np.multiply(seg, win, out=windowed)
         np.fft.rfft(windowed, out=spec)
-        np.square(power, out=power)
-        np.add(power, np.square(imag, out=imag), out=power)
-        power[1:-1] *= 2.0
+        np.square(parts, out=parts)
+        np.add(power, parts[1::2], out=power)
         return power
 
-    # the mean numpy takes over a (bins, n_seg) table of the powers
-    mean = _pairwise_sum(segment_power, n_seg) / n_seg
+    # the mean numpy takes over a (bins, n_seg) table of the one-sided
+    # powers; doubling is exact, so it is applied once to the sum
+    total = _pairwise_sum(segment_power, n_seg)
+    total[1:-1] *= 2.0
+    mean = total / n_seg
     freqs = np.fft.rfftfreq(segment_len, 1.0 / waveform.rate)
     return Spectrum(
         freqs=freqs, values=power_to_db(mean), resolution=float(freqs[1] - freqs[0])

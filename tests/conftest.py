@@ -9,7 +9,8 @@ whole-slice column lists, the oracle of its chunked record views;
 record-by-record versions of `edge_times` and `pulse_train` used as
 oracles; earlier whole-array versions of `sample`,
 `welch_psd`, the edge-phasor sum and the CSV column writer, the indexed
-knot loop of `rl_current` and its one-expression sampled branch, and
+and whole-list knot loops of `rl_current` and its one-expression sampled
+branch, and
 `voltage_segments`' breaks by its former `np.unique` call, used as exact
 oracles; and Hypothesis strategies for well-formed and malformed schedules.
 """
@@ -419,6 +420,19 @@ def indexed_rl_knots(times, voltages, load):
         i = steady[j] + (i - steady[j]) * decay[j]
         knots[j + 1] = i
     return knots
+
+
+def whole_list_rl_knots(times, voltages, load):
+    """Oracle: `rl_current`'s boundary currents, recurred over one list of
+    every segment's Python floats and returned from one list of them all."""
+    steady = voltages / load.resistance
+    decay = np.exp(-np.diff(times) / load.tau)
+    i = load.initial_current
+    knots = [i]
+    for u, g in zip(steady.tolist(), decay.tolist()):
+        i = u + (i - u) * g
+        knots.append(i)
+    return np.array(knots, dtype=float)
 
 
 def expression_rl_current(times, voltages, load, rate):

@@ -1,6 +1,7 @@
 """Tests for config parsing, artifact writing, and the command line."""
 
 import filecmp
+import gc
 import math
 import os
 import subprocess
@@ -728,6 +729,32 @@ def test_float_cells_are_repr_on_a_seeded_sweep(category):
         assert cli_module._rows_bytes([block]) == text.encode(), category
 
 
+@pytest.mark.parametrize("style", ["short", "legacy"])
+def test_fallback_text_is_repr(monkeypatch, style):
+    # what the kernel hands over: nan, inf, zeros, subnormals, the extremes,
+    # and whole numbers from 2^53 to 1e17, about 44 % of them ties; with
+    # "short" repr, numpy's cast writes the text, otherwise repr does
+    monkeypatch.setattr(cells_module.sys, "float_repr_style", style)
+    rng = np.random.default_rng(26)
+    big, tiny = np.finfo(float).max, np.finfo(float).tiny
+    x = np.concatenate(
+        [
+            [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324],
+            [big, -big, tiny, -tiny, 2.0**53, 1e16, 1e17, 1e-5],
+            rng.integers(2**53, 10**17, 200_000).astype(float),
+            rng.integers(0, 2**64, 200_000, dtype=np.uint64).view(float),
+        ]
+    )
+    rows = np.flatnonzero(rng.random(x.size) < 0.5)
+    kept = np.ones(x.size, bool)
+    kept[rows] = False
+    out = cells_module._fallback(x, rows, np.full((3, x.size), ord("7"), np.uint8))
+    assert out.shape == (24, x.size)
+    assert (out[:3, kept] == ord("7")).all() and not out[3:, kept].any()
+    got = out[:, rows].T.copy().view(f"S{out.shape[0]}").ravel()
+    assert got.tolist() == [repr(v).encode() for v in x[rows].tolist()]
+
+
 def test_the_fast_path_formats_normal_draws(monkeypatch):
     # a kernel that gave every cell to repr would pass the tests above
     fallen = []
@@ -980,6 +1007,41 @@ def _child_peak_rss(*args) -> int:
     code, maxrss = map(int, reported.stdout.split())
     assert code == 0
     return maxrss * 1024  # kilobytes on Linux
+
+
+# runs `python -m notchpwm.cli *sys.argv[1:]` and prints the collector's
+# freeze count once the command is done, as the interpreter exits
+_EXIT_FREEZE_COUNT = """
+import atexit, gc, runpy
+atexit.register(lambda: print(gc.get_freeze_count()))
+runpy.run_module("notchpwm.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def test_the_process_entry_freezes_the_collector_and_writes_the_same_bytes(tmp_path):
+    cfg_path = write_config(tmp_path / "run.cfg", **SNS_RP_NOTCH)
+    src = Path(cli_module.__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))
+    child = subprocess.run(
+        [sys.executable, "-c", _EXIT_FREEZE_COUNT, "simulate", "--config", str(cfg_path)]
+        + ["--out", str(tmp_path / "child")],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert int(child.stdout.split()[-1]) > 0
+    # called from other code, main leaves the collector as it is
+    frozen = gc.get_freeze_count()
+    argv = ["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "main")]
+    assert cli_module.main(argv) == 0
+    assert gc.get_freeze_count() == frozen
+    for name in ARTIFACTS:
+        assert (tmp_path / "child" / name).read_bytes() == (tmp_path / "main" / name).read_bytes()
+    # the console script is the same entry
+    pyproject = src.parent / "pyproject.toml"
+    if pyproject.exists():
+        assert 'notchpwm = "notchpwm.cli:entry"' in pyproject.read_text()
 
 
 def _simulate_child_peak_rss(cfg_path, out) -> int:

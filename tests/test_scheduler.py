@@ -402,13 +402,14 @@ def test_banded_k_ranges_match_brute_force_scan():
 # roundoff, which the lock step snaps up to _BOUND_TOL, so the ends are
 # compared up to that.  The laws that solve a frequency divide a duty
 # share by the distance of a*k from c; for a share near 0 both are near
-# 0 and the solved frequency has no correct digit, so those draw shares
-# (and their complements) of at least _FREQ_SHARE_MIN
+# 0, down to a distance of exactly 0, so those draw shares (and their
+# complements) down to the least subnormal
 _fx = st.floats(3000.0, 20000.0)
 _fs = st.floats(1000.0, 5000.0)
 _share = st.floats(0.0, 1.0)
-_FREQ_SHARE_MIN = 1e-6
-_freq_share = st.floats(_FREQ_SHARE_MIN, 1.0 - _FREQ_SHARE_MIN)
+_freq_share = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True) | st.sampled_from(
+    (5e-324, 1e-300, 1e-20, 1e-12, 1e-9, 1.0 - 2.0**-53)
+)
 
 
 @settings(max_examples=300, deadline=None)
@@ -443,6 +444,39 @@ def test_k_range_sns_rf_rp_pos_matches_brute_force_on_drawn_states(
         k_range_sns_rf_rp_pos(fx, fs_prev, fs_next, r_prev, d_next),
         lambda slack: brute_k_pos(fx, fs_prev, fs_next, r_prev, d_next, slack),
     )
+
+
+def test_a_share_below_roundoff_falls_back_instead_of_dividing_by_zero():
+    # fx / fs_prev is exactly 3, and a duty share of 1e-20 is below its
+    # roundoff: k = 3 would leave a distance of exactly 0 to divide by
+    with pytest.raises(ZeroDivisionError):
+        fixed_position_next_freq(
+            PulsePosition.FRONT, CancelMethod.FALL_AFTER_RISE, 3000.0, 1000.0, 0.0, 1e-20, 3
+        )
+    with pytest.raises(ZeroDivisionError):
+        next_freq_sns_rf_rp(3000.0, 1000.0, 0.0, 0.0, 1e-20, 3)
+    assert (
+        fixed_position_k_range(
+            PulsePosition.FRONT, CancelMethod.FALL_AFTER_RISE, 3000.0, 1000.0, 0.0, 1e-20, 1000.0, 1000.0
+        )
+        is None
+    )
+    assert k_range_sns_rf_rp_freq(3000.0, 1000.0, 0.0, 0.0, 1e-20, 1000.0, 1000.0) is None
+
+
+def test_a_share_near_roundoff_ranges_the_k_by_their_solves():
+    # a share term of 1e-15 against 1e-3: the closed form admits k = 3,
+    # whose solve misses the 1000 Hz band by about 1e-4 relative
+    fx, fs_prev, r, fs = 3000.0, 1000.0, 1e-12, 1000.0
+    solved = next_freq_sns_rf_rp(fx, fs_prev, r, r, 1e-300, 3)
+    assert not fs <= solved <= fs and abs(solved - fs) > 1e-9 * fs
+    assert k_range_sns_rf_rp_freq(fx, fs_prev, r, r, 1e-300, fs, fs) is None
+    # and the other way: its bounds round past k = 3, whose solve lies
+    # well inside [4021.2, 4400.1] Hz
+    state = (12873.872452183028, 2779.766267303536, 0.35223074231279006, 0.0, 2.3136238337365415e-14)
+    band = (4021.204247157232, 4400.130378404499)
+    assert band[0] < next_freq_sns_rf_rp(*state, 3) < band[1] * (1.0 - 1e-6)
+    assert k_range_sns_rf_rp_freq(*state, *band) == (3, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -967,10 +1001,11 @@ def test_chunked_records_match_a_whole_slice_build(records, chunk, data):
     assert repr(got) == repr(records[rows])
 
 
-@pytest.mark.parametrize("n", (1023, 1024, 1025, 2048, 2049))
+@pytest.mark.parametrize("n", (255, 256, 257, 512, 513, 1023, 1024, 1025, 2048, 2049))
 def test_chunked_records_at_the_chunk_boundaries(n):
+    # one row either side of the first, second, fourth and eighth chunk's end
     chunk = scheduler_module._RECORD_CHUNK
-    assert chunk == 1024
+    assert chunk == 256
     whole = schedule(spec_for(StrategyKind.SNS_RP), MOD, 0.83, 2).records
     cycles = Schedule(*(col[:n] for col in whole._arrays()))
     for rows in (

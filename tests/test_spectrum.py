@@ -419,10 +419,11 @@ def test_analytic_transform_working_memory():
     finally:
         tracemalloc.stop()
     assert len(records) == 5001 and x.size == 4096
-    # one buffer of 2**15 phasors (0.5 MB), split between 2 workers, plus
-    # bin-sized results: 0.66 MB measured (1.2 MB with 2**16 phasors);
-    # blocks of 256 bins of all 3301 edges peaked at 27 MB
-    assert peak <= 1e6
+    # one buffer of 2**14 phasors (0.25 MB), split between 2 workers, plus
+    # bin-sized results: 0.45 MB measured (0.66 MB with 2**15 phasors,
+    # 1.2 MB with 2**16); blocks of 256 bins of all 3301 edges peaked at
+    # 27 MB
+    assert peak <= 6e5
 
 
 # ---------------------------------------------------------------------------
