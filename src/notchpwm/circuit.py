@@ -93,7 +93,7 @@ def rl_current(
         for u, g in zip(steady[lo:hi].tolist(), decay[lo:hi].tolist()):
             i = u + (i - u) * g
             part.append(i)
-        knots[lo + 1 : lo + 1 + len(part)] = part
+        knots[lo + 1 : hi + 1] = part
 
     if sample_rate is None:
         return knots
