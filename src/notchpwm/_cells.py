@@ -29,9 +29,8 @@ are the nearest such decimal of the fewest digits.  The doubles below a
 power of two are closer together, but no power of two in the k range has
 a decimal that this changes (the tests try them all).  Distances that
 round onto their bound, or onto the midpoint when both sides read back,
-anything outside the k range, inf and nan go to numpy's float-to-bytes
-cast, whose text is `repr`'s where repr's digits are the shortest
-(`sys.float_repr_style` "short"), and to `repr` itself elsewhere.
+anything outside the k range, inf and nan go to `repr` itself, one call
+per distinct value.
 """
 
 from __future__ import annotations
@@ -233,26 +232,13 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
 
 
 def _fallback(x: np.ndarray, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out with the cells of rows set to `repr`'s text of their values.
-
-    Where repr's digits are the shortest, numpy's cast to bytes writes the
-    same text (its shortest digits, laid out as repr lays them) for a whole
-    array at once; elsewhere repr is called on each value.
-    """
-    values = x[rows]
-    if sys.float_repr_style == "short":
-        # 32 bytes, numpy's own width for a float64's text, cut to the
-        # widest cell's (every cell's text starts at its first byte)
-        text = values.astype("S32").view(np.uint8).reshape(rows.size, 32)
-        text = text[:, : np.count_nonzero(text.any(axis=0))]
-    else:
-        text = np.array(list(map(repr, values.tolist())), dtype="S")
-        text = text.view(np.uint8).reshape(rows.size, text.itemsize)
-    width = text.shape[1]
-    if width > out.shape[0]:
-        out = np.concatenate([out, np.zeros((width - out.shape[0], out.shape[1]), np.uint8)])
+    """out with the cells of rows set to `repr`, one call per distinct value."""
+    distinct, index = np.unique(x.view(np.uint64)[rows], return_inverse=True)
+    text = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype="S")[index]
+    if text.itemsize > out.shape[0]:
+        out = np.concatenate([out, np.zeros((text.itemsize - out.shape[0], out.shape[1]), np.uint8)])
     out[:, rows] = 0
-    out[:width, rows] = text.T
+    out[: text.itemsize, rows] = text.view(np.uint8).reshape(rows.size, text.itemsize).T
     return out
 
 

@@ -20,7 +20,6 @@ artifacts.
 from __future__ import annotations
 
 import argparse
-import gc
 import math
 import sys
 from dataclasses import MISSING, dataclass, fields
@@ -744,19 +743,5 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     return 0
 
 
-def entry() -> int:
-    """`main` on the process's own command line: `notchpwm` and
-    `python -m notchpwm.cli`.
-
-    The objects alive by then, mostly the imported modules, are first
-    frozen out of the garbage collector, so that neither a full collection
-    during the run nor the interpreter's exit walks them; the process ends
-    with them anyway.  `main(argv)`, called from other code, leaves the
-    collector as it is.
-    """
-    gc.freeze()
-    return main()
-
-
 if __name__ == "__main__":
-    sys.exit(entry())
+    sys.exit(main())

@@ -343,8 +343,7 @@ def welch_psd(
 
     windowed = np.empty(segment_len)
     spec = np.empty(segment_len // 2 + 1, dtype=complex)
-    parts = spec.view(float)  # the FFT output's real and imaginary parts
-    power = parts[::2]  # the real parts
+    power, imag = spec.real, spec.imag  # views of the FFT's output
 
     def segment_power(i):
         # one set of buffers refilled for every segment, the power in the
@@ -355,15 +354,13 @@ def welch_psd(
             seg = windowed
         np.multiply(seg, win, out=windowed)
         np.fft.rfft(windowed, out=spec)
-        np.square(parts, out=parts)
-        np.add(power, parts[1::2], out=power)
+        np.square(power, out=power)
+        np.add(power, np.square(imag, out=imag), out=power)
+        power[1:-1] *= 2.0
         return power
 
-    # the mean numpy takes over a (bins, n_seg) table of the one-sided
-    # powers; doubling is exact, so it is applied once to the sum
-    total = _pairwise_sum(segment_power, n_seg)
-    total[1:-1] *= 2.0
-    mean = total / n_seg
+    # the mean numpy takes over a (bins, n_seg) table of the powers
+    mean = _pairwise_sum(segment_power, n_seg) / n_seg
     freqs = np.fft.rfftfreq(segment_len, 1.0 / waveform.rate)
     return Spectrum(
         freqs=freqs, values=power_to_db(mean), resolution=float(freqs[1] - freqs[0])

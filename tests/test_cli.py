@@ -1,7 +1,6 @@
 """Tests for config parsing, artifact writing, and the command line."""
 
 import filecmp
-import gc
 import math
 import os
 import subprocess
@@ -729,12 +728,12 @@ def test_float_cells_are_repr_on_a_seeded_sweep(category):
         assert cli_module._rows_bytes([block]) == text.encode(), category
 
 
-@pytest.mark.parametrize("style", ["short", "legacy"])
-def test_fallback_text_is_repr(monkeypatch, style):
+@pytest.mark.parametrize("legacy", [False, "1.13"])
+def test_fallback_text_is_repr(legacy):
     # what the kernel hands over: nan, inf, zeros, subnormals, the extremes,
-    # and whole numbers from 2^53 to 1e17, about 44 % of them ties; with
-    # "short" repr, numpy's cast writes the text, otherwise repr does
-    monkeypatch.setattr(cells_module.sys, "float_repr_style", style)
+    # and whole numbers from 2^53 to 1e17, about 44 % of them ties; the text
+    # is repr's whatever numpy's print options are (its float-to-bytes cast
+    # writes 12 significant digits under legacy="1.13")
     rng = np.random.default_rng(26)
     big, tiny = np.finfo(float).max, np.finfo(float).tiny
     x = np.concatenate(
@@ -748,7 +747,8 @@ def test_fallback_text_is_repr(monkeypatch, style):
     rows = np.flatnonzero(rng.random(x.size) < 0.5)
     kept = np.ones(x.size, bool)
     kept[rows] = False
-    out = cells_module._fallback(x, rows, np.full((3, x.size), ord("7"), np.uint8))
+    with np.printoptions(legacy=legacy):
+        out = cells_module._fallback(x, rows, np.full((3, x.size), ord("7"), np.uint8))
     assert out.shape == (24, x.size)
     assert (out[:3, kept] == ord("7")).all() and not out[3:, kept].any()
     got = out[:, rows].T.copy().view(f"S{out.shape[0]}").ravel()
@@ -1007,41 +1007,6 @@ def _child_peak_rss(*args) -> int:
     code, maxrss = map(int, reported.stdout.split())
     assert code == 0
     return maxrss * 1024  # kilobytes on Linux
-
-
-# runs `python -m notchpwm.cli *sys.argv[1:]` and prints the collector's
-# freeze count once the command is done, as the interpreter exits
-_EXIT_FREEZE_COUNT = """
-import atexit, gc, runpy
-atexit.register(lambda: print(gc.get_freeze_count()))
-runpy.run_module("notchpwm.cli", run_name="__main__", alter_sys=True)
-"""
-
-
-def test_the_process_entry_freezes_the_collector_and_writes_the_same_bytes(tmp_path):
-    cfg_path = write_config(tmp_path / "run.cfg", **SNS_RP_NOTCH)
-    src = Path(cli_module.__file__).resolve().parents[1]
-    path = os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))
-    child = subprocess.run(
-        [sys.executable, "-c", _EXIT_FREEZE_COUNT, "simulate", "--config", str(cfg_path)]
-        + ["--out", str(tmp_path / "child")],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert int(child.stdout.split()[-1]) > 0
-    # called from other code, main leaves the collector as it is
-    frozen = gc.get_freeze_count()
-    argv = ["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "main")]
-    assert cli_module.main(argv) == 0
-    assert gc.get_freeze_count() == frozen
-    for name in ARTIFACTS:
-        assert (tmp_path / "child" / name).read_bytes() == (tmp_path / "main" / name).read_bytes()
-    # the console script is the same entry
-    pyproject = src.parent / "pyproject.toml"
-    if pyproject.exists():
-        assert 'notchpwm = "notchpwm.cli:entry"' in pyproject.read_text()
 
 
 def _simulate_child_peak_rss(cfg_path, out) -> int:
